@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,10 +87,13 @@ class DemoResult:
     labels: dict[str, list[str]]
     example_ids: list[str]
     steps: int
+    # Per characteristic, the contrastive loss at each training step.
+    loss_curve: dict[str, list[float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {"steps": self.steps, "characteristics": {}, "skipped": dict(self.skipped)}
         for name, s in self.stats.items():
+            curve = self.loss_curve.get(name, [])
             out["characteristics"][name] = {
                 "intra_before": s.intra_before,
                 "inter_before": s.inter_before,
@@ -98,6 +101,8 @@ class DemoResult:
                 "intra_after": s.intra_after,
                 "inter_after": s.inter_after,
                 "gap_after": s.gap_after,
+                "loss_first": curve[0] if curve else None,
+                "loss_last": curve[-1] if curve else None,
             }
         return out
 
@@ -155,6 +160,7 @@ def toy_demo(
     skipped: dict[str, str] = {}
     representations: dict[str, np.ndarray] = {}
     final_labels: dict[str, list[str]] = {}
+    loss_curve: dict[str, list[float]] = {}
 
     for char_index, characteristic in enumerate(CHARACTERISTICS):
         labels = [getattr(cl, characteristic) for cl in all_labels]
@@ -171,13 +177,17 @@ def toy_demo(
         reps = project_rows(pooled, ProjectionHead(weight, bias))
         intra_before, inter_before = _separation(reps, labels)
 
+        # Integer codes spare scl_loss ranking the string labels at every step.
+        codes = np.unique(labels, return_inverse=True)[1]
+        losses = loss_curve[characteristic] = []
         for step in range(steps):
             reps = pooled @ weight.T + bias
             step_cfg = replace(
                 cfg, rng_seed=_derived_seed(cfg.rng_seed, characteristic, "step", step)
             )
-            batch, keep = _extend_with_mask(reps, labels, step_cfg)
-            _, grad = scl_loss(batch, cfg.tau)
+            batch, keep = _extend_with_mask(reps, codes, step_cfg)
+            loss, grad = scl_loss(batch, cfg.tau)
+            losses.append(loss)
             n = reps.shape[0]
             # Views are keep-masked rescaled copies, so their gradient flows
             # back through the mask onto the source representations.
@@ -204,6 +214,7 @@ def toy_demo(
         labels=final_labels,
         example_ids=[x.id for x in corpus],
         steps=steps,
+        loss_curve=loss_curve,
     )
 
 

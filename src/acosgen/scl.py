@@ -13,9 +13,12 @@ similarity. The batch loss is the mean of L_i over the extended batch.
 
 Everything here is float64 and numerically stabilized (max-subtraction
 inside the log-sum-exp). ``scl_loss`` returns the analytic gradient with
-respect to every representation row; ``reference_scl_loss`` is a deliberately
-naive double-summation of the same quantity, kept as an independent oracle,
-and ``grad_check`` verifies the gradient against central finite differences.
+respect to every representation row; its cost is memory traffic over
+rows x rows arrays, so it keeps one float buffer and one boolean mask of that
+size and takes the positive-pair gradient from per-class sums of unit rows.
+``reference_scl_loss`` is a deliberately naive double-summation of the same
+quantity, kept as an independent oracle, and ``grad_check`` verifies the
+gradient against central finite differences.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -215,51 +218,74 @@ def extend_batch(reps: np.ndarray, labels: Sequence, cfg: SclConfig) -> ReprBatc
     return batch
 
 
-def _cosine_matrix(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(reps, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm representation row: cosine similarity undefined")
-    unit = reps / norms[:, None]
-    return unit @ unit.T, unit, norms
-
-
 def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     """Batch-mean contrastive loss and its analytic gradient.
 
     Returns ``(loss, grad)`` with ``grad`` of shape ``batch.reps.shape``:
     the derivative of the mean per-row loss with respect to every
     representation row (cosine similarity, temperature ``tau``).
+
+    One rows x rows buffer goes, in place, from cosine similarities to
+    shifted logits, their exponentials and the softmax ``S`` over B(i).
+    Positive logits are summed from the same similarity entries that the
+    log-sum-exp uses, through a boolean same-label mask, so they cancel it
+    exactly (a two-row batch of one label has loss 0.0). With unit rows
+    ``u`` and ``C_y`` the sum of the unit rows of row ``i``'s label, the
+    gradient with respect to ``u_i`` is
+
+        g_i = ((S u)_i + (S^T u)_i - 2 (C_y - u_i) / |P(i)|) / (rows * tau)
+
+    and, the loss being invariant to each row's scale, the gradient with
+    respect to ``h_i`` is its tangent projection ``(g_i - (u_i . g_i) u_i) / |h_i|``.
+    Non-negative integer labels below the row count serve as class codes as
+    they are; other labels are ranked with ``np.unique`` on every call.
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
     rows = batch.num_rows
-    sims, unit, norms = _cosine_matrix(batch.reps)
-    logits = sims / tau
+    norms = np.sqrt((batch.reps * batch.reps).sum(axis=1))
+    if not norms.all():
+        raise ValueError("zero-norm representation row: cosine similarity undefined")
+    unit = batch.reps / norms[:, None]
 
-    offdiag = ~np.eye(rows, dtype=bool)
-    pos_mask = (batch.labels[:, None] == batch.labels[None, :]) & offdiag
-    pos_counts = pos_mask.sum(axis=1)
-    if np.any(pos_counts == 0):
+    labels = batch.labels
+    if labels.dtype.kind in "iu" and labels.min() >= 0 and labels.max() < rows:
+        codes = labels
+    else:
+        codes = np.unique(labels, return_inverse=True)[1]
+    class_sizes = np.bincount(codes)
+    pos_counts = class_sizes[codes] - 1
+    if not pos_counts.all():
         bad = int(np.argmin(pos_counts))
         raise ValueError(f"row {bad} has no same-label partner in the batch")
+    same = codes[:, None] == codes[None, :]
+    same.flat[:: rows + 1] = False
 
+    buf = unit @ unit.T
+    pos_logits = np.einsum("ij,ij->i", buf, same) / tau
     # Stabilized log-sum-exp over each row's B(i) = all other rows.
-    neg_inf = np.full_like(logits, -np.inf)
-    masked = np.where(offdiag, logits, neg_inf)
-    row_max = masked.max(axis=1)
-    exp_shifted = np.exp(masked - row_max[:, None])
-    exp_shifted[~offdiag] = 0.0
-    denom = exp_shifted.sum(axis=1)
+    buf /= tau
+    buf.flat[:: rows + 1] = -np.inf
+    row_max = buf.max(axis=1)
+    buf -= row_max[:, None]
+    np.exp(buf, out=buf)
+    denom = buf.sum(axis=1)
     lse = row_max + np.log(denom)
+    loss = float((lse - pos_logits / pos_counts).mean())
 
-    per_row = lse - (logits * pos_mask).sum(axis=1) / pos_counts
-    loss = float(per_row.mean())
-
-    softmax = exp_shifted / denom[:, None]
-    coeff = softmax - pos_mask / pos_counts[:, None]
-    coeff = (coeff + coeff.T) / (rows * tau)
-    grad = (coeff @ unit - (coeff * sims).sum(axis=1, keepdims=True) * unit) / norms[:, None]
-    return loss, grad
+    buf /= denom[:, None]
+    # The softmax diagonal is 0; 1/|P(i)| there adds the +2 u_i / |P(i)| of
+    # the positive term through the two products below.
+    buf.flat[:: rows + 1] = 1.0 / pos_counts
+    onehot = (codes == np.arange(class_sizes.size)[:, None]).astype(np.float64)
+    # No class has one member here (rejected above), so no division by zero.
+    class_terms = (onehot @ unit) * (2.0 / (class_sizes - 1))[:, None]
+    g = buf @ unit
+    g += buf.T @ unit
+    g -= class_terms[codes]
+    g -= (unit * g).sum(axis=1)[:, None] * unit
+    g *= (1.0 / (rows * tau * norms))[:, None]
+    return loss, g
 
 
 def reference_scl_loss(batch: ReprBatch, tau: float) -> float:
@@ -309,6 +335,8 @@ def grad_check(
     tau: float,
     h_step: float = 1e-5,
     *,
+    floor: float = 1e-8,
+    loss_fn: Callable[[ReprBatch, float], tuple[float, np.ndarray]] = scl_loss,
     sample_limit: int = 10_000,
     sample_fraction: float = 0.1,
     rng_seed: int = 0,
@@ -317,11 +345,12 @@ def grad_check(
 
     Checks every coordinate, or a random ``sample_fraction`` of them when the
     batch has more than ``sample_limit`` coordinates. Relative error uses the
-    denominator max(|analytic|, |numeric|, 1e-8).
+    denominator max(|analytic|, |numeric|, ``floor``). ``loss_fn`` is the
+    kernel under test, :func:`scl_loss` by default.
     """
     if h_step <= 0:
         raise ValueError("h_step must be positive")
-    _, grad = scl_loss(batch, tau)
+    _, grad = loss_fn(batch, tau)
     rows, dim = batch.reps.shape
     total = rows * dim
     if total > sample_limit:
@@ -336,12 +365,12 @@ def grad_check(
     for i, j in coords:
         bumped = batch.reps.copy()
         bumped[i, j] += h_step
-        plus, _ = scl_loss(replace(batch, reps=bumped), tau)
+        plus, _ = loss_fn(replace(batch, reps=bumped), tau)
         bumped[i, j] -= 2 * h_step
-        minus, _ = scl_loss(replace(batch, reps=bumped), tau)
+        minus, _ = loss_fn(replace(batch, reps=bumped), tau)
         numeric = (plus - minus) / (2 * h_step)
         analytic = grad[i, j]
-        err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
+        err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), floor)
         max_err = max(max_err, err)
     return max_err
 

@@ -138,7 +138,12 @@ def gradient_suite(
     first = None
     for _ in range(batches):
         batch = random_batch(rng)
-        err = _conditioned_grad_err(loss_fn, batch, tau, h_step)
+        loss, _ = loss_fn(batch, tau)
+        # Roundoff on a central difference of a quantity built from ~1/tau-sized
+        # log-sum-exp terms; safety factor 10.
+        sigma = np.finfo(np.float64).eps * max(1.0, abs(loss), 1.0 / tau) / h_step
+        floor = max(1e-8, 10.0 * sigma / GRADIENT_TOLERANCE)
+        err = grad_check(batch, tau, h_step, floor=floor, loss_fn=loss_fn)
         max_err = max(max_err, err)
         if err >= GRADIENT_TOLERANCE:
             failures += 1
@@ -152,30 +157,6 @@ def gradient_suite(
         tolerance=GRADIENT_TOLERANCE,
         first_failure=first,
     )
-
-
-def _conditioned_grad_err(loss_fn, batch: ReprBatch, tau: float, h_step: float) -> float:
-    """Finite-difference comparison with a noise-aware denominator floor."""
-    from dataclasses import replace
-
-    loss, grad = loss_fn(batch, tau)
-    # Roundoff on a central difference of a quantity built from ~1/tau-sized
-    # log-sum-exp terms; safety factor 10.
-    sigma = np.finfo(np.float64).eps * max(1.0, abs(loss), 1.0 / tau) / h_step
-    floor = max(1e-8, 10.0 * sigma / GRADIENT_TOLERANCE)
-    max_err = 0.0
-    rows, dim = batch.reps.shape
-    for i in range(rows):
-        for j in range(dim):
-            bumped = batch.reps.copy()
-            bumped[i, j] += h_step
-            plus, _ = loss_fn(replace(batch, reps=bumped), tau)
-            bumped[i, j] -= 2 * h_step
-            minus, _ = loss_fn(replace(batch, reps=bumped), tau)
-            numeric = (plus - minus) / (2 * h_step)
-            err = abs(numeric - grad[i, j]) / max(abs(numeric), abs(grad[i, j]), floor)
-            max_err = max(max_err, err)
-    return max_err
 
 
 def save_failure(result: VerificationResult, path: str | Path) -> Path:

@@ -51,6 +51,14 @@ class TestToyDemo:
         for name, s in result.stats.items():
             assert s.gap_after > s.gap_before, name
 
+    def test_loss_curve_falls(self, small_corpus):
+        result = toy_demo(small_corpus, SclConfig(rng_seed=0), steps=60)
+        report = result.to_dict()["characteristics"]
+        for name, curve in result.loss_curve.items():
+            assert len(curve) == 60
+            assert np.mean(curve[-10:]) < np.mean(curve[:10]), name
+            assert (report[name]["loss_first"], report[name]["loss_last"]) == (curve[0], curve[-1])
+
     def test_single_label_characteristic_skipped(self):
         lines = [
             "a b c d\t0,1 C0 2 1,2",

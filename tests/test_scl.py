@@ -116,6 +116,43 @@ class TestSclLoss:
         assert loss == 0.0
         assert np.allclose(grad, 0.0, atol=1e-15)
 
+    def test_two_row_same_label_cancels_exactly(self):
+        # The one positive logit must cancel the log-sum-exp bit for bit,
+        # also when the two rows differ.
+        rng = np.random.default_rng(11)
+        for dim in (2, 5, 16):
+            reps = rng.standard_normal((2, dim))
+            batch = ReprBatch(reps=reps, labels=[3, 3], view_of=np.arange(2))
+            loss, grad = scl_loss(batch, 0.25)
+            assert loss == 0.0
+            assert np.allclose(grad, 0.0, atol=1e-15)
+            assert grad_check(batch, 0.25, 1e-5) < 1e-4
+
+    def test_label_encodings_agree(self):
+        # Integer codes are used as they are; strings, sparse and negative
+        # integers are ranked first. One partition gives one result.
+        rng = np.random.default_rng(12)
+        codes = np.r_[rng.integers(0, 3, 9), [0, 1, 2]]
+        codes = np.r_[codes, codes]
+        reps = rng.standard_normal((codes.size, 6))
+        results = [
+            scl_loss(ReprBatch(reps=reps, labels=labels, view_of=np.arange(codes.size)), 0.25)
+            for labels in (codes, np.array(["neg", "pos", "neu"])[codes], codes * 10 + 7, codes - 2)
+        ]
+        loss, grad = results[0]
+        for other_loss, other_grad in results[1:]:
+            assert abs(other_loss - loss) <= 1e-15
+            assert np.abs(other_grad - grad).max() <= 1e-15
+
+    def test_matches_reference_on_hundred_row_batch(self):
+        rng = np.random.default_rng(13)
+        reps = rng.standard_normal((50, 24))
+        batch = extend_batch(reps, rng.integers(0, 4, 50), SclConfig(rng_seed=2))
+        assert batch.num_rows == 100
+        vec, _ = scl_loss(batch, 0.25)
+        ref = reference_scl_loss(batch, 0.25)
+        assert abs(vec - ref) / max(abs(ref), 1.0) < 1e-9
+
     def test_all_identical_rows_log_2n_minus_1(self):
         for n in (2, 4, 7):
             row = np.array([0.3, -1.2, 0.7])
@@ -346,6 +383,11 @@ class TestVerifySuites:
 
         result = oracle_suite(batches=20, seed=0, loss_fn=broken)
         assert not result.passed
+
+    @pytest.mark.parametrize("tau", [0.05, 0.01])
+    def test_oracle_holds_at_sharp_temperatures(self, tau):
+        result = oracle_suite(batches=200, tau=tau, seed=3)
+        assert result.passed, result.summary()
 
     def test_stable_at_sharp_temperature(self):
         oracle = oracle_suite(batches=40, tau=0.05, seed=2)
