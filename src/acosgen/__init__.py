@@ -27,7 +27,6 @@ from .linearize import (
     FormatStyle,
     linearize_example,
     linearize_quad,
-    naturalize_category,
     order_quads,
 )
 from .parse import ParseOutcome, PredictedQuad, parse_output, read_predictions
@@ -67,7 +66,6 @@ __all__ = [
     "FormatStyle",
     "linearize_example",
     "linearize_quad",
-    "naturalize_category",
     "order_quads",
     "ParseOutcome",
     "PredictedQuad",

@@ -5,8 +5,10 @@ targets), ``evaluate`` (score a predictions file against gold), ``scl-check``
 (run the loss/gradient verification suites), ``scl-demo`` (toy contrastive
 training demo).
 
-Every flag can also be supplied through an environment variable named
-``ACOSGEN_<FLAG>`` (dashes become underscores), e.g. ``ACOSGEN_DATASET``.
+Every flag that takes a value can also be supplied through an environment
+variable named ``ACOSGEN_<FLAG>`` (dashes become underscores), e.g.
+``ACOSGEN_DATASET``; a flag given on the command line wins. Switches such as
+``--json`` have no variable.
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error.
 """
 
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .configs import resolve_category_map, resolve_scl_config
@@ -33,18 +36,16 @@ __all__ = ["main"]
 ENV_PREFIX = "ACOSGEN_"
 
 
-def _env(flag: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
+def _add(p: argparse.ArgumentParser, flag: str, **kw) -> None:
+    """Add ``--<flag>`` to ``p``, defaulting to ``ACOSGEN_<FLAG>`` when that is set.
 
-
-def _env_default(flag: str, cast, fallback):
-    raw = _env(flag)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"invalid value for {ENV_PREFIX}{flag.upper()}: {raw!r}")
+    argparse converts a string default with the flag's ``type``, so a bad
+    value is a usage error (exit 2), and only for a command that takes the flag.
+    """
+    env = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
+    if env is not None:
+        kw.update(default=env, required=False)
+    p.add_argument(f"--{flag}", **kw)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -59,49 +60,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def dataset_arg(p, required=True):
-        p.add_argument(
-            "--dataset",
-            default=_env("dataset"),
-            required=required and _env("dataset") is None,
-            help="dataset TSV file",
-        )
+        _add(p, "dataset", required=required, help="dataset TSV file")
 
     def map_arg(p):
-        p.add_argument(
-            "--category-map",
-            default=_env_default("category-map", str, "rest"),
+        _add(
+            p,
+            "category-map",
+            default="rest",
             help="shipped map name (rest, laptop, laptop-l1) or a TSV path",
         )
 
     def style_arg(p):
-        p.add_argument(
-            "--style",
-            choices=[s.value for s in FormatStyle],
-            default=_env_default("style", str, FormatStyle.GEN_NAT.value),
-        )
+        _add(p, "style", choices=[s.value for s in FormatStyle], default=FormatStyle.GEN_NAT.value)
 
     def out_arg(p):
-        p.add_argument("--out", default=_env("out"), help="output file (default: stdout)")
+        _add(p, "out", help="output file (default: stdout)")
 
     def json_arg(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of a text table")
 
     def seed_arg(p):
-        p.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
+        _add(p, "seed", type=int, default=0)
 
     def scl_args(p):
-        p.add_argument("--tau", type=float, default=_env_default("tau", float, None))
-        p.add_argument("--alpha", type=float, default=_env_default("alpha", float, None))
-        p.add_argument("--dropout", type=float, default=_env_default("dropout", float, None))
-        p.add_argument(
-            "--scl-config",
-            default=_env("scl-config"),
-            help="shipped name (rest, laptop, laptop-l1) or a key=value file",
-        )
+        for flag in ("tau", "alpha", "dropout"):
+            _add(p, flag, type=float)
+        _add(p, "scl-config", help="shipped name (rest, laptop, laptop-l1) or a key=value file")
 
     p = sub.add_parser("stats", help="dataset statistics")
     dataset_arg(p)
-    p.add_argument("--expected-categories", type=int, default=None)
+    _add(p, "expected-categories", type=int)
     json_arg(p)
     out_arg(p)
 
@@ -113,10 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a predictions file against gold")
     dataset_arg(p)
-    p.add_argument(
-        "--predictions",
-        default=_env("predictions"),
-        required=_env("predictions") is None,
+    _add(
+        p,
+        "predictions",
+        required=True,
         help="one generated output string per line, aligned with the dataset",
     )
     map_arg(p)
@@ -126,50 +114,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scl-check", help="run loss-oracle and gradient verification suites")
     seed_arg(p)
-    p.add_argument("--tau", type=float, default=_env_default("tau", float, 0.25))
-    p.add_argument("--oracle-batches", type=int, default=1000)
-    p.add_argument("--grad-batches", type=int, default=100)
-    p.add_argument(
-        "--failure-out",
-        default=_env_default("failure-out", str, "scl-check-failure.json"),
+    _add(p, "tau", type=float, default=0.25)
+    _add(p, "oracle-batches", type=int, default=1000)
+    _add(p, "grad-batches", type=int, default=100)
+    _add(
+        p,
+        "failure-out",
+        default="scl-check-failure.json",
         help="where to serialize the first offending batch on failure",
     )
 
     p = sub.add_parser("scl-demo", help="toy contrastive training demo")
     dataset_arg(p, required=False)
-    p.add_argument("--synthetic", type=int, default=_env_default("synthetic", int, 200))
-    p.add_argument("--steps", type=int, default=_env_default("steps", int, 150))
+    _add(p, "synthetic", type=int, default=200)
+    _add(p, "steps", type=int, default=150)
     seed_arg(p)
     scl_args(p)
     json_arg(p)
     out_arg(p)
-    p.add_argument("--reps-out", default=_env("reps-out"), help="export representations TSV")
+    _add(p, "reps-out", help="export representations TSV")
 
     return parser
 
 
+# scl-demo flag -> SclConfig field it overrides when given.
+_SCL_FLAGS = {"tau": "tau", "alpha": "alpha", "dropout": "dropout_p", "seed": "rng_seed"}
+
+
 def _assemble_scl_config(args) -> SclConfig:
-    cfg = SclConfig()
-    if getattr(args, "scl_config", None):
-        cfg = resolve_scl_config(args.scl_config, base=cfg)
-    overrides = {}
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha"] = (args.alpha,) * 3
-    if getattr(args, "dropout", None) is not None:
-        overrides["dropout_p"] = args.dropout
-    if getattr(args, "seed", None) is not None:
-        overrides["rng_seed"] = args.seed
-    if overrides:
-        cfg = SclConfig(
-            tau=overrides.get("tau", cfg.tau),
-            alpha=overrides.get("alpha", cfg.alpha),
-            dropout_p=overrides.get("dropout_p", cfg.dropout_p),
-            rng_seed=overrides.get("rng_seed", cfg.rng_seed),
-            pooling=cfg.pooling,
-        )
-    return cfg
+    cfg = resolve_scl_config(args.scl_config) if args.scl_config else SclConfig()
+    given = {field: getattr(args, flag) for flag, field in _SCL_FLAGS.items()}
+    return replace(cfg, **{field: v for field, v in given.items() if v is not None})
 
 
 def _cmd_stats(args) -> int:

@@ -56,28 +56,22 @@ def default_scl_config(dataset: str) -> SclConfig:
     return parse_scl_config(_read(filename), source=filename)
 
 
-def resolve_category_map(spec: str) -> CategoryMap:
-    """Resolve a CLI/category-map argument: shipped dataset name or TSV path."""
+def _resolve(spec: str, shipped, from_file, what: str):
     try:
-        return default_category_map(spec)
+        return shipped(spec)
     except KeyError:
         pass
     path = Path(spec)
     if path.exists():
-        return CategoryMap.from_tsv(path)
-    raise FileNotFoundError(f"category map {spec!r}: not a shipped dataset name or existing file")
+        return from_file(path)
+    raise FileNotFoundError(f"{what} {spec!r}: not a shipped dataset name or existing file")
 
 
-def resolve_scl_config(spec: str, base: SclConfig | None = None) -> SclConfig:
+def resolve_category_map(spec: str) -> CategoryMap:
+    """Resolve a CLI/category-map argument: shipped dataset name or TSV path."""
+    return _resolve(spec, default_category_map, CategoryMap.from_tsv, "category map")
+
+
+def resolve_scl_config(spec: str) -> SclConfig:
     """Resolve an SclConfig argument: shipped dataset name or key=value file."""
-    try:
-        name = _canonical(spec)
-    except KeyError:
-        name = None
-    if name is not None:
-        filename = _FILES[name][1]
-        return parse_scl_config(_read(filename), source=filename, base=base)
-    path = Path(spec)
-    if path.exists():
-        return load_scl_config(path, base=base)
-    raise FileNotFoundError(f"scl config {spec!r}: not a shipped dataset name or existing file")
+    return _resolve(spec, default_scl_config, load_scl_config, "scl config")

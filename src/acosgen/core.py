@@ -42,12 +42,20 @@ __all__ = [
     "serialize_dataset",
     "quad_type",
     "characteristic_labels",
+    "check_reserved",
 ]
 
 # Reserved tokens of the linearized output grammar. Terms containing them
-# cannot be serialized unambiguously, so they are rejected at load time.
+# cannot be serialized unambiguously, so Quadruple rejects them.
 FIELD_SEPARATOR = "|"
 QUAD_SEPARATOR = "[SSEP]"
+
+
+def check_reserved(text: str, what: str) -> None:
+    """Raise ValueError if ``text`` contains a separator of the output grammar."""
+    for reserved in (FIELD_SEPARATOR, QUAD_SEPARATOR):
+        if reserved in text:
+            raise ValueError(f"{what} {text!r} contains reserved separator {reserved!r}")
 
 
 class _Implicit:
@@ -128,7 +136,8 @@ class Quadruple:
 
     ``aspect_span``/``opinion_span`` are either a :class:`Span` or the
     ``IMPLICIT`` marker; the matching ``*_text`` is the whitespace-joined
-    span tokens, and empty exactly when the term is implicit.
+    span tokens, and empty exactly when the term is implicit. Neither term
+    may contain a reserved separator (see :func:`check_reserved`).
     """
 
     aspect_span: Span | _Implicit
@@ -145,6 +154,8 @@ class Quadruple:
             raise ValueError("aspect text must be empty iff the aspect is implicit")
         if isinstance(self.opinion_span, _Implicit) != (self.opinion_text == ""):
             raise ValueError("opinion text must be empty iff the opinion is implicit")
+        check_reserved(self.aspect_text, "aspect term")
+        check_reserved(self.opinion_text, "opinion term")
 
     @property
     def aspect_explicit(self) -> bool:
@@ -279,12 +290,6 @@ def _parse_span(field: str) -> Span | _Implicit:
     return Span(start, end)
 
 
-def _check_term(term: str) -> None:
-    for reserved in (FIELD_SEPARATOR, QUAD_SEPARATOR):
-        if reserved in term:
-            raise ValueError(f"term {term!r} contains reserved separator {reserved!r}")
-
-
 def _parse_quad_field(field: str, tokens: Sequence[str]) -> Quadruple:
     parts = field.split()
     if len(parts) != 4:
@@ -304,9 +309,7 @@ def _parse_quad_field(field: str, tokens: Sequence[str]) -> Quadruple:
             raise ValueError(
                 f"{what} span ({span.start},{span.end}) out of bounds for {len(tokens)} tokens"
             )
-        text = " ".join(tokens[span.start : span.end])
-        _check_term(text)
-        return span, text
+        return span, " ".join(tokens[span.start : span.end])
 
     aspect_span, aspect_text = resolve(aspect_raw, "aspect")
     opinion_span, opinion_text = resolve(opinion_raw, "opinion")

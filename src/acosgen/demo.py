@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Example, characteristic_labels
-from .scl import ProjectionHead, SclConfig, _extend_with_mask, pool, project_rows, scl_loss
+from .scl import ProjectionHead, SclConfig, _extend_with_mask, pool, project, scl_loss
 
 __all__ = ["TokenHashEncoder", "SeparationStats", "DemoResult", "toy_demo", "export_representations"]
 
@@ -174,7 +174,7 @@ def toy_demo(
         head = ProjectionHead.random(encoder_dim, head_dim, rng=head_rng)
         weight, bias = head.weight.copy(), head.bias.copy()
 
-        reps = project_rows(pooled, ProjectionHead(weight, bias))
+        reps = project(pooled, ProjectionHead(weight, bias))
         intra_before, inter_before = _separation(reps, labels)
 
         # Integer codes spare scl_loss ranking the string labels at every step.

@@ -20,21 +20,14 @@ from __future__ import annotations
 import difflib
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Mapping
 
-from .core import (
-    FIELD_SEPARATOR,
-    QUAD_SEPARATOR,
-    Example,
-    Quadruple,
-    SentimentPolarity,
-    Span,
-)
+from .core import QUAD_SEPARATOR, Example, Quadruple, SentimentPolarity, Span, check_reserved
 
 __all__ = [
     "CategoryMap",
     "CategoryMapError",
     "FormatStyle",
-    "naturalize_category",
     "linearize_quad",
     "order_quads",
     "linearize_example",
@@ -66,22 +59,22 @@ class CategoryMap:
     """Invertible mapping from raw category labels to natural descriptions.
 
     Descriptions must be unique (the inverse lookup drives parsing) and must
-    not contain the output grammar's separator tokens.
+    not contain the output grammar's separator tokens. ``entries`` is a
+    mapping or an iterable of ``(raw, description)`` pairs.
     """
 
-    def __init__(self, entries: dict[str, str]):
+    def __init__(self, entries: Mapping[str, str] | Iterable[tuple[str, str]]):
         self._by_raw: dict[str, str] = {}
         self._by_description: dict[str, str] = {}
-        for raw, description in entries.items():
+        for raw, description in entries.items() if isinstance(entries, Mapping) else entries:
             raw = raw.strip()
             description = description.strip()
             if not raw or not description:
                 raise CategoryMapError(f"empty label or description in entry {raw!r} -> {description!r}")
-            for reserved in (FIELD_SEPARATOR, QUAD_SEPARATOR):
-                if reserved in description:
-                    raise CategoryMapError(
-                        f"description {description!r} contains reserved separator {reserved!r}"
-                    )
+            try:
+                check_reserved(description, "description")
+            except ValueError as exc:
+                raise CategoryMapError(str(exc)) from None
             if raw in self._by_raw:
                 raise CategoryMapError(f"duplicate raw label {raw!r}")
             if description in self._by_description:
@@ -129,7 +122,7 @@ class CategoryMap:
 
     @classmethod
     def from_text(cls, text: str, *, source: str = "<string>") -> "CategoryMap":
-        entries: dict[str, str] = {}
+        pairs: list[list[str]] = []
         for line_no, raw_line in enumerate(text.splitlines(), start=1):
             line = raw_line.rstrip("\r")
             if not line.strip() or line.startswith("#"):
@@ -139,15 +132,13 @@ class CategoryMap:
                 raise CategoryMapError(
                     f"{source}:{line_no}: expected 'RAW_LABEL<TAB>description', got {line!r}"
                 )
-            raw, description = parts[0].strip(), parts[1].strip()
-            if raw in entries:
-                raise CategoryMapError(f"{source}:{line_no}: duplicate raw label {raw!r}")
-            if description in set(entries.values()):
-                raise CategoryMapError(f"{source}:{line_no}: duplicate description {description!r}")
-            entries[raw] = description
-        if not entries:
+            pairs.append(parts)
+        if not pairs:
             raise CategoryMapError(f"{source}: no entries")
-        return cls(entries)
+        try:
+            return cls(pairs)
+        except CategoryMapError as exc:
+            raise CategoryMapError(f"{source}: {exc}") from None
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "CategoryMap":
@@ -155,47 +146,19 @@ class CategoryMap:
         return cls.from_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def naturalize_category(category: str, category_map: CategoryMap) -> str:
-    """Map a raw category label to its natural description."""
-    return category_map.natural(category)
-
-
-def _checked_term(text: str, what: str) -> str:
-    for reserved in (FIELD_SEPARATOR, QUAD_SEPARATOR):
-        if reserved in text:
-            raise ValueError(f"{what} term {text!r} contains reserved separator {reserved!r}")
-    return text
-
-
 def linearize_quad(q: Quadruple, style: FormatStyle, category_map: CategoryMap) -> str:
-    """Render one quadruple in the requested target format."""
+    """Render one quadruple in the requested target format.
+
+    Both styles reject a category label the map does not know.
+    """
+    description = category_map.natural(q.category)
+    aspect = q.aspect_text if q.aspect_explicit else IMPLICIT_ASPECT_WORD
+    opinion = q.opinion_text if q.opinion_explicit else IMPLICIT_OPINION_WORD
     if style is FormatStyle.GEN_NAT:
-        description = naturalize_category(q.category, category_map)
-        if q.aspect_explicit:
-            aspect_part = f"the {_checked_term(q.aspect_text, 'aspect')}"
-        else:
-            aspect_part = IMPLICIT_ASPECT_WORD
-        opinion = (
-            _checked_term(q.opinion_text, "opinion")
-            if q.opinion_explicit
-            else IMPLICIT_OPINION_WORD
-        )
+        aspect_part = f"the {aspect}" if q.aspect_explicit else aspect
         return f"{description} | {aspect_part} is {opinion} | {q.sentiment.word}"
-
     if style is FormatStyle.PARAPHRASE:
-        if q.category not in category_map:
-            # Same unknown-label error path as gen-nat, for symmetric behavior.
-            naturalize_category(q.category, category_map)
-        aspect = (
-            _checked_term(q.aspect_text, "aspect") if q.aspect_explicit else IMPLICIT_ASPECT_WORD
-        )
-        opinion = (
-            _checked_term(q.opinion_text, "opinion")
-            if q.opinion_explicit
-            else IMPLICIT_OPINION_WORD
-        )
         return f"{q.category} is {PARAPHRASE_SENTIMENT[q.sentiment]} because {aspect} is {opinion}"
-
     raise ValueError(f"unknown format style {style!r}")
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "ReprBatch",
     "pool",
     "project",
-    "project_rows",
     "extend_batch",
     "scl_loss",
     "reference_scl_loss",
@@ -165,24 +164,11 @@ def pool(hidden: np.ndarray, mode: str = "mean") -> np.ndarray:
 
 
 def project(v: np.ndarray, head: ProjectionHead) -> np.ndarray:
-    """Apply a projection head to one pooled vector."""
+    """Apply a projection head to one pooled vector or a (rows, in_dim) matrix of them."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (head.in_dim,):
-        raise ValueError(f"vector shape {v.shape} does not match head input dim {head.in_dim}")
-    return head.weight @ v + head.bias
-
-
-def project_rows(vs: np.ndarray, head: ProjectionHead) -> np.ndarray:
-    """Apply a projection head to a (rows, in_dim) matrix of pooled vectors."""
-    vs = np.asarray(vs, dtype=np.float64)
-    if vs.ndim != 2 or vs.shape[1] != head.in_dim:
-        raise ValueError(f"matrix shape {vs.shape} does not match head input dim {head.in_dim}")
-    return vs @ head.weight.T + head.bias
-
-
-def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
-    """Keep-mask for inverted dropout: True entries survive (prob 1-p)."""
-    return rng.random(shape) >= p
+    if v.ndim not in (1, 2) or v.shape[-1] != head.in_dim:
+        raise ValueError(f"input shape {v.shape} does not match head input dim {head.in_dim}")
+    return v @ head.weight.T + head.bias
 
 
 def _extend_with_mask(
@@ -195,8 +181,7 @@ def _extend_with_mask(
     labels_arr = np.asarray(labels)
     if labels_arr.shape != (reps.shape[0],):
         raise ValueError("need exactly one label per representation row")
-    rng = np.random.default_rng(cfg.rng_seed)
-    keep = dropout_mask(reps.shape, cfg.dropout_p, rng)
+    keep = np.random.default_rng(cfg.rng_seed).random(reps.shape) >= cfg.dropout_p
     views = reps * keep / (1.0 - cfg.dropout_p)
     n = reps.shape[0]
     batch = ReprBatch(
@@ -361,13 +346,17 @@ def grad_check(
     else:
         coords = [(i, j) for i in range(rows) for j in range(dim)]
 
+    # Validated once, then bumped in place and restored, so the probes skip
+    # ReprBatch's per-construction checks and results match fresh copies.
+    probe = replace(batch, reps=batch.reps.copy())
     max_err = 0.0
     for i, j in coords:
-        bumped = batch.reps.copy()
-        bumped[i, j] += h_step
-        plus, _ = loss_fn(replace(batch, reps=bumped), tau)
-        bumped[i, j] -= 2 * h_step
-        minus, _ = loss_fn(replace(batch, reps=bumped), tau)
+        original = probe.reps[i, j]
+        probe.reps[i, j] += h_step
+        plus, _ = loss_fn(probe, tau)
+        probe.reps[i, j] -= 2 * h_step
+        minus, _ = loss_fn(probe, tau)
+        probe.reps[i, j] = original
         numeric = (plus - minus) / (2 * h_step)
         analytic = grad[i, j]
         err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), floor)
@@ -378,16 +367,13 @@ def grad_check(
 _CONFIG_KEYS = ("tau", "alpha", "alpha1", "alpha2", "alpha3", "dropout", "seed", "pooling")
 
 
-def parse_scl_config(
-    text: str, *, source: str = "<string>", base: SclConfig | None = None
-) -> SclConfig:
+def parse_scl_config(text: str, *, source: str = "<string>") -> SclConfig:
     """Parse an SclConfig from ``key=value`` lines.
 
     Recognized keys: tau, alpha (sets all three weights), alpha1/2/3,
     dropout, seed, pooling. Blank lines and ``#`` comments are ignored;
-    values not present fall back to ``base`` (or the defaults).
+    values not present keep the SclConfig defaults.
     """
-    cfg = base if base is not None else SclConfig()
     values: dict[str, str] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -400,22 +386,20 @@ def parse_scl_config(
             raise ValueError(f"{source}:{line_no}: unknown key {key!r}")
         values[key] = value
 
-    tau = float(values["tau"]) if "tau" in values else cfg.tau
-    alpha = list(cfg.alpha)
-    if "alpha" in values:
-        alpha = [float(values["alpha"])] * 3
+    alpha = [float(values.get("alpha", a)) for a in SclConfig.alpha]
     for idx, key in enumerate(("alpha1", "alpha2", "alpha3")):
         if key in values:
             alpha[idx] = float(values[key])
-    dropout = float(values["dropout"]) if "dropout" in values else cfg.dropout_p
-    seed = int(values["seed"]) if "seed" in values else cfg.rng_seed
-    pooling = values.get("pooling", cfg.pooling)
     return SclConfig(
-        tau=tau, alpha=tuple(alpha), dropout_p=dropout, rng_seed=seed, pooling=pooling
+        tau=float(values.get("tau", SclConfig.tau)),
+        alpha=tuple(alpha),
+        dropout_p=float(values.get("dropout", SclConfig.dropout_p)),
+        rng_seed=int(values.get("seed", SclConfig.rng_seed)),
+        pooling=values.get("pooling", SclConfig.pooling),
     )
 
 
-def load_scl_config(path: str | Path, base: SclConfig | None = None) -> SclConfig:
+def load_scl_config(path: str | Path) -> SclConfig:
     """Read an SclConfig from a plain ``key=value`` file."""
     path = Path(path)
-    return parse_scl_config(path.read_text(encoding="utf-8"), source=str(path), base=base)
+    return parse_scl_config(path.read_text(encoding="utf-8"), source=str(path))

@@ -80,6 +80,37 @@ def _batch_payload(batch: ReprBatch, tau: float, error: float) -> dict:
     }
 
 
+def _run_suite(
+    name: str,
+    tolerance: float,
+    batches: int,
+    seed: int,
+    error_fn: Callable[[ReprBatch], float],
+    tau: float,
+) -> VerificationResult:
+    """Score ``batches`` random batches with ``error_fn`` against ``tolerance``."""
+    rng = np.random.default_rng(seed)
+    max_err = 0.0
+    failures = 0
+    first = None
+    for _ in range(batches):
+        batch = random_batch(rng)
+        err = error_fn(batch)
+        max_err = max(max_err, err)
+        if err >= tolerance:
+            failures += 1
+            if first is None:
+                first = _batch_payload(batch, tau, err)
+    return VerificationResult(
+        name=name,
+        cases=batches,
+        failures=failures,
+        max_error=max_err,
+        tolerance=tolerance,
+        first_failure=first,
+    )
+
+
 def oracle_suite(
     batches: int = 1000,
     tau: float = 0.25,
@@ -87,31 +118,16 @@ def oracle_suite(
     loss_fn: Callable[[ReprBatch, float], tuple[float, np.ndarray]] = scl_loss,
 ) -> VerificationResult:
     """Compare the vectorized loss against the double-summation oracle."""
-    rng = np.random.default_rng(seed)
-    max_err = 0.0
-    failures = 0
-    first = None
-    for _ in range(batches):
-        batch = random_batch(rng)
+
+    def error(batch: ReprBatch) -> float:
         vectorized, _ = loss_fn(batch, tau)
         reference = reference_scl_loss(batch, tau)
         # Scale-aware relative error: floored at 1 so near-zero losses at
         # sharp temperatures compare on an absolute scale instead of
         # amplifying cancellation noise.
-        err = abs(vectorized - reference) / max(abs(reference), abs(vectorized), 1.0)
-        max_err = max(max_err, err)
-        if err >= ORACLE_TOLERANCE:
-            failures += 1
-            if first is None:
-                first = _batch_payload(batch, tau, err)
-    return VerificationResult(
-        name="loss oracle",
-        cases=batches,
-        failures=failures,
-        max_error=max_err,
-        tolerance=ORACLE_TOLERANCE,
-        first_failure=first,
-    )
+        return abs(vectorized - reference) / max(abs(reference), abs(vectorized), 1.0)
+
+    return _run_suite("loss oracle", ORACLE_TOLERANCE, batches, seed, error, tau)
 
 
 def gradient_suite(
@@ -132,31 +148,16 @@ def gradient_suite(
     saturated, near-zero coordinates from failing sharp-temperature runs.
     :func:`acosgen.scl.grad_check` keeps the plain 1e-8-floored metric.
     """
-    rng = np.random.default_rng(seed)
-    max_err = 0.0
-    failures = 0
-    first = None
-    for _ in range(batches):
-        batch = random_batch(rng)
+
+    def error(batch: ReprBatch) -> float:
         loss, _ = loss_fn(batch, tau)
         # Roundoff on a central difference of a quantity built from ~1/tau-sized
         # log-sum-exp terms; safety factor 10.
         sigma = np.finfo(np.float64).eps * max(1.0, abs(loss), 1.0 / tau) / h_step
         floor = max(1e-8, 10.0 * sigma / GRADIENT_TOLERANCE)
-        err = grad_check(batch, tau, h_step, floor=floor, loss_fn=loss_fn)
-        max_err = max(max_err, err)
-        if err >= GRADIENT_TOLERANCE:
-            failures += 1
-            if first is None:
-                first = _batch_payload(batch, tau, err)
-    return VerificationResult(
-        name="gradient check",
-        cases=batches,
-        failures=failures,
-        max_error=max_err,
-        tolerance=GRADIENT_TOLERANCE,
-        first_failure=first,
-    )
+        return grad_check(batch, tau, h_step, floor=floor, loss_fn=loss_fn)
+
+    return _run_suite("gradient check", GRADIENT_TOLERANCE, batches, seed, error, tau)
 
 
 def save_failure(result: VerificationResult, path: str | Path) -> Path:

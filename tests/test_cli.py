@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from acosgen.cli import main
+from acosgen.cli import _assemble_scl_config, _build_parser, main
+from acosgen.configs import default_scl_config
 
 from conftest import MINI_DATASET
 
@@ -34,6 +35,12 @@ class TestStats:
     def test_env_var_flag(self, capsys, mini_dataset_file, monkeypatch):
         monkeypatch.setenv("ACOSGEN_DATASET", str(mini_dataset_file))
         code, out, _ = run(capsys, "stats")
+        assert code == 0
+        assert "sentences" in out
+
+    def test_env_var_of_another_command_ignored(self, capsys, mini_dataset_file, monkeypatch):
+        monkeypatch.setenv("ACOSGEN_TAU", "abc")
+        code, out, _ = run(capsys, "stats", "--dataset", str(mini_dataset_file))
         assert code == 0
         assert "sentences" in out
 
@@ -154,6 +161,20 @@ class TestSclCheck:
         assert "40/40" in out
         assert "ok" in out
 
+    def test_bad_env_value_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("ACOSGEN_TAU", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["scl-check", "--oracle-batches", "1", "--grad-batches", "0"])
+        assert exc.value.code == 2
+
+    def test_batch_counts_from_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("ACOSGEN_ORACLE_BATCHES", "3")
+        monkeypatch.setenv("ACOSGEN_GRAD_BATCHES", "1")
+        code, out, _ = run(capsys, "scl-check")
+        assert code == 0
+        assert "loss oracle: 3/3" in out
+        assert "gradient check: 1/1" in out
+
 
 class TestSclDemo:
     def test_json_report(self, capsys, tmp_path):
@@ -218,6 +239,25 @@ class TestSclConfigPlumbing:
             "--json",
         )
         assert code == 0
+
+    def test_config_then_flag_overrides(self, tmp_path):
+        def assemble(*argv):
+            return _assemble_scl_config(_build_parser().parse_args(["scl-demo", *argv]))
+
+        cfg = assemble("--scl-config", "laptop-l1", "--alpha", "0.3")
+        shipped = default_scl_config("laptop-l1")
+        assert cfg.alpha == (0.3, 0.3, 0.3)
+        assert (cfg.tau, cfg.dropout_p) == (shipped.tau, shipped.dropout_p)
+        path = tmp_path / "c.cfg"
+        path.write_text("tau=0.5\ndropout=0.3\npooling=sum\nalpha1=0.9\n", encoding="utf-8")
+        cfg = assemble("--scl-config", str(path), "--alpha", "0.3", "--seed", "4")
+        assert (cfg.tau, cfg.alpha, cfg.dropout_p, cfg.rng_seed, cfg.pooling) == (
+            0.5,
+            (0.3, 0.3, 0.3),
+            0.3,
+            4,
+            "sum",
+        )
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

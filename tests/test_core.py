@@ -185,6 +185,21 @@ class TestTypes:
                 sentiment=SentimentPolarity.POSITIVE,
             )
 
+    @pytest.mark.parametrize("term", ["a | b", "a [SSEP] b", "|"])
+    @pytest.mark.parametrize("field", ["aspect", "opinion"])
+    def test_quadruple_rejects_reserved_separator(self, field, term):
+        kwargs = dict(
+            aspect_span=Span(0, 1),
+            aspect_text="a",
+            category="C",
+            opinion_span=Span(1, 2),
+            opinion_text="b",
+            sentiment=SentimentPolarity.POSITIVE,
+        )
+        kwargs[f"{field}_text"] = term
+        with pytest.raises(ValueError, match=f"{field} term .* reserved separator"):
+            Quadruple(**kwargs)
+
     def test_example_rejects_bad_span(self):
         q = Quadruple(
             aspect_span=Span(0, 9),

@@ -7,7 +7,6 @@ from acosgen.linearize import (
     FormatStyle,
     linearize_example,
     linearize_quad,
-    naturalize_category,
     order_quads,
 )
 
@@ -16,15 +15,15 @@ from conftest import example_from_line
 
 class TestCategoryMap:
     def test_reference_descriptions(self, rest_map, laptop_map):
-        assert naturalize_category("FOOD#QUALITY", rest_map) == "the food quality"
-        assert naturalize_category("FOOD#PRICES", rest_map) == "the food prices"
-        assert naturalize_category("LOCATION#GENERAL", rest_map) == "the location"
-        assert naturalize_category("OS#GENERAL", laptop_map) == "the operating system overall"
-        assert naturalize_category("OS#DESIGN_FEATURES", laptop_map) == "the operating system features"
-        assert naturalize_category("HARD_DISC#PRICE", laptop_map) == "the hard drive price"
+        assert rest_map.natural("FOOD#QUALITY") == "the food quality"
+        assert rest_map.natural("FOOD#PRICES") == "the food prices"
+        assert rest_map.natural("LOCATION#GENERAL") == "the location"
+        assert laptop_map.natural("OS#GENERAL") == "the operating system overall"
+        assert laptop_map.natural("OS#DESIGN_FEATURES") == "the operating system features"
+        assert laptop_map.natural("HARD_DISC#PRICE") == "the hard drive price"
         l1 = default_category_map("laptop-l1")
-        assert naturalize_category("OS", l1) == "the operating system"
-        assert naturalize_category("HARD_DISC", l1) == "the hard drive"
+        assert l1.natural("OS") == "the operating system"
+        assert l1.natural("HARD_DISC") == "the hard drive"
 
     def test_shipped_map_sizes(self, rest_map, laptop_map):
         assert len(rest_map) == 13
@@ -33,15 +32,28 @@ class TestCategoryMap:
 
     def test_unknown_label_names_nearest(self, rest_map):
         with pytest.raises(CategoryMapError, match="FOOD#QUALITY"):
-            naturalize_category("FOOD#QUALTY", rest_map)
+            rest_map.natural("FOOD#QUALTY")
 
     def test_duplicate_raw_label(self):
         with pytest.raises(CategoryMapError, match="duplicate raw label"):
             CategoryMap.from_text("A\tone\nA\ttwo\n")
+        with pytest.raises(CategoryMapError, match="^maps/m.tsv: duplicate raw label 'A'"):
+            CategoryMap.from_text("A\tone\n A \ttwo\n", source="maps/m.tsv")
 
     def test_duplicate_description(self):
         with pytest.raises(CategoryMapError, match="duplicate description"):
             CategoryMap.from_text("A\tone\nB\tone\n")
+        clash = r"^maps/m.tsv: duplicate description 'one' \(for 'B' and 'A'\)"
+        with pytest.raises(CategoryMapError, match=clash):
+            CategoryMap.from_text("A\tone\nB\tone \n", source="maps/m.tsv")
+
+    def test_pairs_and_mapping_agree(self):
+        pairs = [("A#B", "the a b"), ("C", "the c")]
+        from_pairs, from_dict = CategoryMap(pairs), CategoryMap(dict(pairs))
+        assert from_pairs.labels == from_dict.labels == ("A#B", "C")
+        assert [from_pairs.natural(r) for r in ("A#B", "C")] == ["the a b", "the c"]
+        with pytest.raises(CategoryMapError, match="duplicate raw label"):
+            CategoryMap([("A", "one"), ("A", "two")])
 
     def test_description_with_separator(self):
         with pytest.raises(CategoryMapError, match="reserved separator"):

@@ -63,10 +63,22 @@ class TestProject:
         naive = np.array([sum(w[i, j] * v[j] for j in range(6)) + b[i] for i in range(4)])
         assert np.allclose(project(v, head), naive, rtol=0, atol=1e-12)
 
+    def test_matrix_matches_rows(self):
+        rng = np.random.default_rng(2)
+        head = ProjectionHead(weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4))
+        vs = rng.standard_normal((5, 6))
+        rows = np.stack([project(v, head) for v in vs])
+        assert project(vs, head).shape == (5, 4)
+        assert np.allclose(project(vs, head), rows, rtol=0, atol=1e-12)
+
     def test_dimension_mismatch(self):
         head = ProjectionHead(weight=np.eye(3), bias=np.zeros(3))
         with pytest.raises(ValueError):
             project(np.ones(4), head)
+        with pytest.raises(ValueError):
+            project(np.ones((2, 4)), head)
+        with pytest.raises(ValueError):
+            project(np.ones((2, 2, 3)), head)
 
     def test_default_dims_1024(self):
         head = ProjectionHead.random(rng=np.random.default_rng(0))
@@ -285,6 +297,26 @@ class TestGradCheck:
         # 1e-8 denominator floor at this batch size (many saturated,
         # near-zero-gradient coordinates in the 10% sample)
         assert grad_check(batch, 0.25, 1e-3) < 1e-4
+
+    def test_leaves_batch_unchanged_and_matches_fresh_copies(self):
+        batch = random_batch(np.random.default_rng(12))
+        before = batch.reps.copy()
+        first = grad_check(batch, 0.25, 1e-5)
+        assert np.array_equal(batch.reps, before)
+        assert grad_check(batch, 0.25, 1e-5) == first
+        # Reference: a fresh copy of the batch for every probe.
+        _, grad = scl_loss(batch, 0.25)
+        expected = 0.0
+        for i, j in np.ndindex(*batch.reps.shape):
+            bumped = batch.reps.copy()
+            bumped[i, j] += 1e-5
+            plus, _ = scl_loss(replace(batch, reps=bumped), 0.25)
+            bumped[i, j] -= 2e-5
+            minus, _ = scl_loss(replace(batch, reps=bumped), 0.25)
+            numeric = (plus - minus) / 2e-5
+            err = abs(numeric - grad[i, j]) / max(abs(numeric), abs(grad[i, j]), 1e-8)
+            expected = max(expected, err)
+        assert first == expected
 
     def test_bad_h_rejected(self):
         batch = extend_batch(np.ones((2, 3)), ["a", "b"], SclConfig(dropout_p=0.0))
