@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 from .configs import resolve_category_map, resolve_scl_config
@@ -36,15 +37,15 @@ __all__ = ["main"]
 ENV_PREFIX = "ACOSGEN_"
 
 
-def _add(p: argparse.ArgumentParser, flag: str, **kw) -> None:
-    """Add ``--<flag>`` to ``p``, defaulting to ``ACOSGEN_<FLAG>`` when that is set.
+def _add(p: argparse.ArgumentParser, env: dict[str, str], flag: str, **kw) -> None:
+    """Add ``--<flag>`` to ``p``, defaulting to ``env["ACOSGEN_<FLAG>"]`` when that is set.
 
     argparse converts a string default with the flag's ``type``, so a bad
     value is a usage error (exit 2), and only for a command that takes the flag.
     """
-    env = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
-    if env is not None:
-        kw.update(default=env, required=False)
+    value = env.get(ENV_PREFIX + flag.upper().replace("-", "_"))
+    if value is not None:
+        kw.update(default=value, required=False)
     p.add_argument(f"--{flag}", **kw)
 
 
@@ -56,40 +57,49 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for the current ``ACOSGEN_*`` environment, built once per environment."""
+    env = tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith(ENV_PREFIX)))
+    return _parser_for(env)
+
+
+@lru_cache(maxsize=16)
+def _parser_for(env_items: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
+    env = dict(env_items)
     parser = argparse.ArgumentParser(prog="acosgen", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def dataset_arg(p, required=True):
-        _add(p, "dataset", required=required, help="dataset TSV file")
+        _add(p, env, "dataset", required=required, help="dataset TSV file")
 
     def map_arg(p):
         _add(
             p,
+            env,
             "category-map",
             default="rest",
             help="shipped map name (rest, laptop, laptop-l1) or a TSV path",
         )
 
     def style_arg(p):
-        _add(p, "style", choices=[s.value for s in FormatStyle], default=FormatStyle.GEN_NAT.value)
+        styles = [s.value for s in FormatStyle]
+        _add(p, env, "style", choices=styles, default=FormatStyle.GEN_NAT.value)
 
     def out_arg(p):
-        _add(p, "out", help="output file (default: stdout)")
+        _add(p, env, "out", help="output file (default: stdout)")
 
     def json_arg(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of a text table")
 
-    def seed_arg(p):
-        _add(p, "seed", type=int, default=0)
-
     def scl_args(p):
         for flag in ("tau", "alpha", "dropout"):
-            _add(p, flag, type=float)
-        _add(p, "scl-config", help="shipped name (rest, laptop, laptop-l1) or a key=value file")
+            _add(p, env, flag, type=float)
+        _add(
+            p, env, "scl-config", help="shipped name (rest, laptop, laptop-l1) or a key=value file"
+        )
 
     p = sub.add_parser("stats", help="dataset statistics")
     dataset_arg(p)
-    _add(p, "expected-categories", type=int)
+    _add(p, env, "expected-categories", type=int)
     json_arg(p)
     out_arg(p)
 
@@ -103,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset_arg(p)
     _add(
         p,
+        env,
         "predictions",
         required=True,
         help="one generated output string per line, aligned with the dataset",
@@ -113,12 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     out_arg(p)
 
     p = sub.add_parser("scl-check", help="run loss-oracle and gradient verification suites")
-    seed_arg(p)
-    _add(p, "tau", type=float, default=0.25)
-    _add(p, "oracle-batches", type=int, default=1000)
-    _add(p, "grad-batches", type=int, default=100)
+    _add(p, env, "seed", type=int, default=0)
+    _add(p, env, "tau", type=float, default=0.25)
+    _add(p, env, "oracle-batches", type=int, default=1000)
+    _add(p, env, "grad-batches", type=int, default=100)
     _add(
         p,
+        env,
         "failure-out",
         default="scl-check-failure.json",
         help="where to serialize the first offending batch on failure",
@@ -126,13 +138,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scl-demo", help="toy contrastive training demo")
     dataset_arg(p, required=False)
-    _add(p, "synthetic", type=int, default=200)
-    _add(p, "steps", type=int, default=150)
-    seed_arg(p)
+    _add(p, env, "synthetic", type=int, default=200)
+    _add(p, env, "steps", type=int, default=150)
+    # No default: an unset --seed leaves the config file's seed= (or SclConfig's) in force.
+    _add(p, env, "seed", type=int)
     scl_args(p)
     json_arg(p)
     out_arg(p)
-    _add(p, "reps-out", help="export representations TSV")
+    _add(p, env, "reps-out", help="export representations TSV")
 
     return parser
 

@@ -18,6 +18,12 @@ where each quad is four space-separated fields:
 Spans index into the whitespace-tokenized sentence, end-exclusive; the
 sentinel "-1,-1" marks an implicit term; sentiment codes are
 0=negative, 1=neutral, 2=positive.
+
+The loader parses each distinct span string and sentiment code once (a
+bounded memo), so loaded examples share immutable :class:`Span` instances.
+It bounds-checks every span, resolves every term text and drops duplicate
+quadruples itself, then builds each :class:`Example` without repeating those
+checks; directly constructed examples are checked in full.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -183,11 +190,20 @@ def quad_type(q: Quadruple) -> QuadType:
     return QuadType.IAEO if q.opinion_explicit else QuadType.IAIO
 
 
+def _quad_key(q: Quadruple) -> tuple:
+    """Identity under which a quad set may hold no duplicates."""
+    return (q.aspect_span, q.category, q.opinion_span, q.sentiment)
+
+
 @dataclass(frozen=True)
 class Example:
     """A sentence with its (duplicate-free) quadruple set.
 
     ``quads`` is stored in file order but is semantically an unordered set.
+    Direct construction checks that the quads are distinct under
+    :func:`_quad_key`, that every span lies within ``tokens`` and that each
+    term text is its span's tokens joined by spaces. Examples from the loader
+    were checked there, and may share :class:`Span` instances.
     """
 
     id: str
@@ -195,10 +211,26 @@ class Example:
     tokens: tuple[str, ...]
     quads: tuple[Quadruple, ...]
 
+    @classmethod
+    def _unchecked(
+        cls, id: str, text: str, tokens: tuple[str, ...], quads: tuple[Quadruple, ...]
+    ) -> "Example":
+        """Build an Example without running ``__post_init__``.
+
+        Only for quads the caller has already validated against ``tokens``
+        exactly as ``__post_init__`` would: distinct under :func:`_quad_key`,
+        every span within ``len(tokens)``, every explicit term text equal to
+        ``" ".join(tokens[span.start:span.end])``.
+        """
+        x = object.__new__(cls)
+        # Frozen dataclasses block __setattr__, not the instance dict.
+        x.__dict__.update(id=id, text=text, tokens=tokens, quads=quads)
+        return x
+
     def __post_init__(self) -> None:
         seen = set()
         for q in self.quads:
-            key = (q.aspect_span, q.category, q.opinion_span, q.sentiment)
+            key = _quad_key(q)
             if key in seen:
                 raise ValueError(f"duplicate quadruple in example {self.id!r}")
             seen.add(key)
@@ -273,7 +305,15 @@ class DatasetError(ValueError):
         super().__init__(where + message)
 
 
+# Distinct span strings and sentiment codes memoized by the loader. Spans are
+# bounded by sentence length, so real corpora repeat a few dozen strings;
+# the bound only caps memory on adversarial input.
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _parse_span(field: str) -> Span | _Implicit:
+    """Parse a ``start,end`` field; the sentence bounds check is the caller's."""
     parts = field.split(",")
     if len(parts) != 2:
         raise ValueError(f"malformed span {field!r}")
@@ -290,16 +330,21 @@ def _parse_span(field: str) -> Span | _Implicit:
     return Span(start, end)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _parse_sentiment(code_raw: str) -> SentimentPolarity:
+    try:
+        code = int(code_raw)
+    except ValueError:
+        raise ValueError(f"unknown sentiment code {code_raw!r} (expected 0, 1 or 2)") from None
+    return SentimentPolarity.from_code(code)
+
+
 def _parse_quad_field(field: str, tokens: Sequence[str]) -> Quadruple:
     parts = field.split()
     if len(parts) != 4:
         raise ValueError(f"malformed quadruple field {field!r} (expected 4 space-separated parts)")
     aspect_raw, category, code_raw, opinion_raw = parts
-    try:
-        code = int(code_raw)
-    except ValueError:
-        raise ValueError(f"unknown sentiment code {code_raw!r} (expected 0, 1 or 2)") from None
-    sentiment = SentimentPolarity.from_code(code)
+    sentiment = _parse_sentiment(code_raw)
 
     def resolve(span_field: str, what: str) -> tuple[Span | _Implicit, str]:
         span = _parse_span(span_field)
@@ -346,19 +391,15 @@ def parse_dataset_text(
                 quad = _parse_quad_field(field, tokens)
             except ValueError as exc:
                 raise DatasetError(str(exc), path=path, line=line_no) from None
-            key = (quad.aspect_span, quad.category, quad.opinion_span, quad.sentiment)
+            key = _quad_key(quad)
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
             quads.append(quad)
+        # Every span was bounds-checked and resolved against ``tokens`` above.
         examples.append(
-            Example(
-                id=f"{id_prefix}-{line_no:04d}",
-                text=sentence,
-                tokens=tokens,
-                quads=tuple(quads),
-            )
+            Example._unchecked(f"{id_prefix}-{line_no:04d}", sentence, tokens, tuple(quads))
         )
     if duplicates:
         warnings.warn(

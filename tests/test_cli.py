@@ -38,6 +38,15 @@ class TestStats:
         assert code == 0
         assert "sentences" in out
 
+    def test_parser_built_once_per_environment(self, monkeypatch):
+        first = _build_parser()
+        assert _build_parser() is first
+        monkeypatch.setenv("ACOSGEN_DATASET", "x.tsv")
+        assert _build_parser() is not first
+        assert _build_parser().parse_args(["stats"]).dataset == "x.tsv"
+        monkeypatch.delenv("ACOSGEN_DATASET")
+        assert _build_parser() is first
+
     def test_env_var_of_another_command_ignored(self, capsys, mini_dataset_file, monkeypatch):
         monkeypatch.setenv("ACOSGEN_TAU", "abc")
         code, out, _ = run(capsys, "stats", "--dataset", str(mini_dataset_file))
@@ -258,6 +267,19 @@ class TestSclConfigPlumbing:
             4,
             "sum",
         )
+
+    def test_config_seed_kept_unless_flag_given(self, capsys, tmp_path):
+        demo = ("scl-demo", "--synthetic", "20", "--steps", "2", "--json")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=7\n", encoding="utf-8")
+        _, from_file, _ = run(capsys, *demo, "--scl-config", str(cfg))
+        _, from_flag, _ = run(capsys, *demo, "--seed", "7")
+        _, default, _ = run(capsys, *demo)
+        _, seed_zero, _ = run(capsys, *demo, "--seed", "0")
+        assert from_file == from_flag != default
+        assert default == seed_zero
+        _, overridden, _ = run(capsys, *demo, "--scl-config", str(cfg), "--seed", "0")
+        assert overridden == seed_zero
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -1,4 +1,8 @@
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acosgen.core import (
     IMPLICIT,
@@ -88,6 +92,122 @@ class TestLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="no such file"):
             load_dataset(tmp_path / "nope.tsv")
+
+    def test_loaded_examples_share_spans(self):
+        a, b = parse_dataset_text("a b c\t0,1 C 2 -1,-1\nd e\t0,1 D 1 -1,-1\n")
+        assert a.quads[0].aspect_span is b.quads[0].aspect_span
+        assert (a.quads[0].aspect_text, b.quads[0].aspect_text) == ("a", "d")
+
+
+class TestLoaderMemo:
+    """Memoized span and sentiment parsing must not change any error."""
+
+    GOOD = "a b c\t0,1 C 2 -1,-1\n"
+
+    @pytest.mark.parametrize("bad_line", [2, 5])
+    def test_malformed_span_raises_on_its_own_line(self, bad_line):
+        for _ in range(2):
+            lines = [self.GOOD] * 5
+            lines[bad_line - 1] = "a b c\t0;1 C 2 -1,-1\n"
+            with pytest.raises(DatasetError, match=rf"^{bad_line}: malformed span '0;1'$") as exc:
+                parse_dataset_text("".join(lines[:bad_line]))
+            assert exc.value.line == bad_line
+
+    def test_span_bounds_checked_per_sentence(self):
+        text = "a b c d e f\t0,5 C 2 -1,-1\nx y z\t-1,-1 C 2 0,5\n"
+        assert parse_dataset_text(text.splitlines()[0])[0].quads[0].aspect_text == "a b c d e"
+        with pytest.raises(
+            DatasetError, match=r"^2: opinion span \(0,5\) out of bounds for 3 tokens$"
+        ):
+            parse_dataset_text(text)
+
+    @pytest.mark.parametrize(
+        "code,message",
+        [
+            ("7", "unknown sentiment code 7 (expected 0, 1 or 2)"),
+            ("x", "unknown sentiment code 'x' (expected 0, 1 or 2)"),
+        ],
+    )
+    def test_bad_sentiment_same_message_every_time(self, code, message):
+        for line_no in (1, 3, 3):
+            lines = [self.GOOD] * line_no
+            lines[-1] = f"a b c\t0,1 C {code} -1,-1\n"
+            with pytest.raises(DatasetError) as exc:
+                parse_dataset_text("".join(lines))
+            assert str(exc.value) == f"{line_no}: {message}"
+
+
+# Fragments that hit every branch of the loader: span sentinels, the output
+# grammar's reserved separators, digits (one of them non-ASCII), plain words,
+# and, rarely, a tab or carriage return inside a field.
+_PIECES = [
+    ",", "-", "-1", "-1,-1", "0,1", "1,3", "|", "[SSEP]", "0", "1", "2", "9", "C", "a", "b",
+    "\u0663", "_", "\t", "\r",
+]
+# Line breaks, including the Unicode ones str.splitlines honours.
+_BREAKS = ["\n", "\r\n", "\n\n", "\u2028", "\x85", "\x0b", "\x1c"]
+
+_piece = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3).map("".join)
+# Lines shaped like the layout (a sentence, then four-part fields with a
+# plausible sentiment code) so that fuzzed text reaches the span parser.
+_code = st.sampled_from(["0", "1", "2", "7", "-1", "x", "\u0662", "02"])
+_field = st.tuples(_piece, _piece, _code, _piece).map(" ".join)
+_line = st.tuples(
+    st.lists(_piece, min_size=1, max_size=4).map(" ".join),
+    st.lists(_field, min_size=1, max_size=3),
+).map(lambda t: "\t".join([t[0], *t[1]]))
+_fuzz_text = st.one_of(
+    st.tuples(st.lists(_line, min_size=1, max_size=4), st.sampled_from(_BREAKS)).map(
+        lambda t: t[1].join(t[0])
+    ),
+    st.lists(st.sampled_from(_PIECES + _BREAKS + [" "]), max_size=40).map("".join),
+)
+
+
+@st.composite
+def _valid_line(draw):
+    """A well-formed dataset line over a tiny vocabulary, duplicates included."""
+    n = draw(st.integers(1, 6))
+    words = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+
+    def span():
+        if draw(st.booleans()):
+            return "-1,-1"
+        start = draw(st.integers(0, n - 1))
+        return f"{start},{draw(st.integers(start + 1, n))}"
+
+    fields = [
+        f"{span()} {draw(st.sampled_from('CD'))} {draw(st.integers(0, 2))} {span()}"
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return "\t".join([" ".join(words), *fields])
+
+
+class TestLoaderProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(_fuzz_text)
+    def test_raises_only_dataset_error(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                parse_dataset_text(text)
+            except DatasetError:
+                pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_valid_line(), min_size=1, max_size=6).map("\n".join))
+    def test_loaded_examples_pass_example_checks(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            examples = parse_dataset_text(text)
+        for x in examples:
+            assert Example(x.id, x.text, x.tokens, x.quads) == x
+
+    def test_synthetic_corpus_round_trips(self, synth_corpus):
+        loaded = parse_dataset_text(serialize_dataset(synth_corpus))
+        assert [(x.text, x.tokens, x.quads) for x in loaded] == [
+            (x.text, x.tokens, x.quads) for x in synth_corpus
+        ]
 
 
 class TestSerialization:
@@ -211,6 +331,20 @@ class TestTypes:
         )
         with pytest.raises(ValueError, match="out of bounds"):
             Example(id="e", text="a b", tokens=("a", "b"), quads=(q,))
+
+    def test_example_rejects_duplicate_and_mismatched_text(self):
+        q = Quadruple(
+            aspect_span=Span(0, 1),
+            aspect_text="a",
+            category="C",
+            opinion_span=IMPLICIT,
+            opinion_text="",
+            sentiment=SentimentPolarity.POSITIVE,
+        )
+        with pytest.raises(ValueError, match="duplicate quadruple"):
+            Example(id="e", text="a b", tokens=("a", "b"), quads=(q, q))
+        with pytest.raises(ValueError, match="does not match span tokens 'b'"):
+            Example(id="e", text="b a", tokens=("b", "a"), quads=(q,))
 
     def test_sentiment_order(self):
         assert SentimentPolarity.NEGATIVE < SentimentPolarity.NEUTRAL < SentimentPolarity.POSITIVE
