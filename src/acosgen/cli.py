@@ -163,7 +163,7 @@ def _assemble_scl_config(args) -> SclConfig:
 def _cmd_stats(args) -> int:
     examples = load_dataset(args.dataset)
     stats = dataset_stats(examples, num_categories_expected=args.expected_categories)
-    _emit(stats.to_json(indent=2) if args.json else stats.to_text(), args.out)
+    _emit(json.dumps(stats.to_dict(), indent=2) if args.json else stats.to_text(), args.out)
     return 0
 
 
@@ -222,7 +222,7 @@ def _cmd_scl_demo(args) -> int:
     else:
         corpus = make_synthetic_corpus(args.synthetic, seed=cfg.rng_seed)
     result = toy_demo(corpus, cfg, args.steps)
-    _emit(result.to_json(indent=2) if args.json else result.to_text(), args.out)
+    _emit(json.dumps(result.to_dict(), indent=2) if args.json else result.to_text(), args.out)
     if args.reps_out:
         export_representations(result, args.reps_out)
     return 0

@@ -50,6 +50,7 @@ __all__ = [
     "quad_type",
     "characteristic_labels",
     "check_reserved",
+    "split_lines",
 ]
 
 # Reserved tokens of the linearized output grammar. Terms containing them
@@ -97,20 +98,6 @@ class SentimentPolarity(IntEnum):
     @property
     def word(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_code(cls, code: int) -> "SentimentPolarity":
-        try:
-            return cls(code)
-        except ValueError:
-            raise ValueError(f"unknown sentiment code {code!r} (expected 0, 1 or 2)") from None
-
-    @classmethod
-    def from_word(cls, word: str) -> "SentimentPolarity":
-        try:
-            return cls[word.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown sentiment word {word!r}") from None
 
 
 @dataclass(frozen=True)
@@ -265,9 +252,6 @@ class CharacteristicLabels:
     aspect: str
     opinion: str
 
-    SENTIMENT_LABELS = ("positive", "negative", "neutral", "mixed")
-    SPAN_LABELS = ("all-explicit", "all-implicit", "mixed")
-
 
 def characteristic_labels(x: Example) -> CharacteristicLabels:
     """Derive the per-example characteristic labels from its quad set."""
@@ -305,20 +289,35 @@ class DatasetError(ValueError):
         super().__init__(where + message)
 
 
+def split_lines(text: str) -> list[str]:
+    """File content split into lines at LF or CRLF only: U+0085, U+2028,
+    U+001C-U+001E, VT, FF and a lone CR stay inside their line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the final LF, or the whole of an empty text
+    return [line.rstrip("\r") for line in lines]
+
+
 # Distinct span strings and sentiment codes memoized by the loader. Spans are
 # bounded by sentence length, so real corpora repeat a few dozen strings;
 # the bound only caps memory on adversarial input.
 _MEMO_SIZE = 4096
 
 
+def _parse_int(text: str) -> int:
+    """``int(text)`` if :func:`serialize_dataset` would write the result back as ``text``
+    (ASCII digits, no ``+``, ``_`` or leading zero), else ValueError."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(text)
+    return value
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parse_span(field: str) -> Span | _Implicit:
     """Parse a ``start,end`` field; the sentence bounds check is the caller's."""
-    parts = field.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"malformed span {field!r}")
     try:
-        start, end = int(parts[0]), int(parts[1])
+        start, end = map(_parse_int, field.split(","))  # not two fields: ValueError too
     except ValueError:
         raise ValueError(f"malformed span {field!r}") from None
     if (start, end) == (-1, -1):
@@ -333,10 +332,13 @@ def _parse_span(field: str) -> Span | _Implicit:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parse_sentiment(code_raw: str) -> SentimentPolarity:
     try:
-        code = int(code_raw)
+        code: int | str = _parse_int(code_raw)
     except ValueError:
-        raise ValueError(f"unknown sentiment code {code_raw!r} (expected 0, 1 or 2)") from None
-    return SentimentPolarity.from_code(code)
+        code = code_raw  # matches no member, and is reported quoted
+    try:
+        return SentimentPolarity(code)
+    except ValueError:
+        raise ValueError(f"unknown sentiment code {code!r} (expected 0, 1 or 2)") from None
 
 
 def _parse_quad_field(field: str, tokens: Sequence[str]) -> Quadruple:
@@ -374,8 +376,7 @@ def parse_dataset_text(
     """Parse dataset TSV content into examples. See module docstring for layout."""
     examples: list[Example] = []
     duplicates = 0
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.rstrip("\r")
+    for line_no, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             raise DatasetError("blank line", path=path, line=line_no)
         fields = line.split("\t")

@@ -13,7 +13,6 @@ external 2-D projection tools.
 from __future__ import annotations
 
 import hashlib
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,11 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import Example, characteristic_labels
-from .scl import ProjectionHead, SclConfig, _extend_with_mask, pool, project, scl_loss
+from .scl import ProjectionHead, SclConfig, _extend_with_mask, pool, scl_loss
 
 __all__ = ["TokenHashEncoder", "SeparationStats", "DemoResult", "toy_demo", "export_representations"]
 
 CHARACTERISTICS = ("sentiment", "aspect", "opinion")
+ENCODER_DIM = 32
+HEAD_DIM = 32
+LEARNING_RATE = 40.0
 
 
 def _derived_seed(*parts) -> int:
@@ -106,9 +108,6 @@ class DemoResult:
             }
         return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
     def to_text(self) -> str:
         lines = [
             f"{'characteristic':<15} {'intra0':>8} {'inter0':>8} {'gap0':>8} "
@@ -136,15 +135,7 @@ def _separation(reps: np.ndarray, labels: list[str]) -> tuple[float, float]:
     return intra, inter
 
 
-def toy_demo(
-    corpus: list[Example],
-    cfg: SclConfig,
-    steps: int,
-    *,
-    encoder_dim: int = 32,
-    head_dim: int = 32,
-    learning_rate: float = 40.0,
-) -> DemoResult:
+def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
     """Train the three characteristic heads on a frozen encoder and report
     representation separation before/after. Deterministic given cfg.rng_seed."""
     if not corpus:
@@ -153,8 +144,8 @@ def toy_demo(
         raise ValueError("steps must be >= 0")
     all_labels = [characteristic_labels(x) for x in corpus]
 
-    encoder = TokenHashEncoder(dim=encoder_dim, seed=cfg.rng_seed)
-    pooled = np.stack([pool(encoder.encode(x), cfg.pooling) for x in corpus])
+    encoder = TokenHashEncoder(dim=ENCODER_DIM, seed=cfg.rng_seed)
+    pooled = np.stack([pool(encoder.encode(x)) for x in corpus])
 
     stats: dict[str, SeparationStats] = {}
     skipped: dict[str, str] = {}
@@ -171,17 +162,16 @@ def toy_demo(
             continue
         alpha = cfg.alpha[char_index]
         head_rng = np.random.default_rng(_derived_seed(cfg.rng_seed, characteristic, "init"))
-        head = ProjectionHead.random(encoder_dim, head_dim, rng=head_rng)
+        head = ProjectionHead.random(ENCODER_DIM, HEAD_DIM, rng=head_rng)
         weight, bias = head.weight.copy(), head.bias.copy()
 
-        reps = project(pooled, ProjectionHead(weight, bias))
+        reps = pooled @ weight.T + bias
         intra_before, inter_before = _separation(reps, labels)
 
         # Integer codes spare scl_loss ranking the string labels at every step.
         codes = np.unique(labels, return_inverse=True)[1]
         losses = loss_curve[characteristic] = []
         for step in range(steps):
-            reps = pooled @ weight.T + bias
             step_cfg = replace(
                 cfg, rng_seed=_derived_seed(cfg.rng_seed, characteristic, "step", step)
             )
@@ -193,10 +183,10 @@ def toy_demo(
             # back through the mask onto the source representations.
             g_reps = grad[:n] + grad[n:] * keep / (1.0 - cfg.dropout_p)
             g_reps *= alpha
-            weight -= learning_rate * (g_reps.T @ pooled)
-            bias -= learning_rate * g_reps.sum(axis=0)
+            weight -= LEARNING_RATE * (g_reps.T @ pooled)
+            bias -= LEARNING_RATE * g_reps.sum(axis=0)
+            reps = pooled @ weight.T + bias
 
-        reps = pooled @ weight.T + bias
         intra_after, inter_after = _separation(reps, labels)
         stats[characteristic] = SeparationStats(
             intra_before=intra_before,

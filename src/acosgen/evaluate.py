@@ -10,7 +10,6 @@ all quads of member examples counted, so splits overlap.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -63,9 +62,6 @@ class EvalReport:
                 for t, s in self.per_split.items()
             },
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def to_text(self) -> str:
         lines = [
@@ -160,9 +156,6 @@ class DatasetStats:
                 for t in QuadType
             },
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def to_text(self) -> str:
         lines = [

@@ -22,7 +22,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .core import QUAD_SEPARATOR, Example, Quadruple, SentimentPolarity, Span, check_reserved
+from .core import (
+    QUAD_SEPARATOR, Example, Quadruple, SentimentPolarity, Span, check_reserved, split_lines
+)
 
 __all__ = [
     "CategoryMap",
@@ -123,8 +125,7 @@ class CategoryMap:
     @classmethod
     def from_text(cls, text: str, *, source: str = "<string>") -> "CategoryMap":
         pairs: list[list[str]] = []
-        for line_no, raw_line in enumerate(text.splitlines(), start=1):
-            line = raw_line.rstrip("\r")
+        for line_no, line in enumerate(split_lines(text), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")

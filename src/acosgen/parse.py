@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import IMPLICIT, QUAD_SEPARATOR, SentimentPolarity, _Implicit
+from .core import IMPLICIT, QUAD_SEPARATOR, SentimentPolarity, _Implicit, split_lines
 from .linearize import (
     CategoryMap,
     FormatStyle,
@@ -160,9 +160,4 @@ def parse_output(s: str, style: FormatStyle, category_map: CategoryMap) -> Parse
 
 def read_predictions(path: str | Path) -> list[str]:
     """Read a predictions file: one output string per line, blank = empty."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text:
-        return []
-    if text.endswith("\n"):
-        text = text[:-1]
-    return [line.rstrip("\r") for line in text.split("\n")]
+    return split_lines(Path(path).read_text(encoding="utf-8"))

@@ -100,12 +100,6 @@ _LABEL_SCHEDULE = (
     ("mixed", "mixed", "all-explicit"),
 )
 
-_POLARITY = {
-    "positive": SentimentPolarity.POSITIVE,
-    "negative": SentimentPolarity.NEGATIVE,
-    "neutral": SentimentPolarity.NEUTRAL,
-}
-
 
 def _choose(rng: np.random.Generator, items: tuple) -> str:
     return items[int(rng.integers(len(items)))]
@@ -124,7 +118,7 @@ def _quad_flags(label: str, n: int, rng: np.random.Generator) -> list[bool]:
 
 def _quad_sentiments(label: str, n: int, rng: np.random.Generator) -> list[SentimentPolarity]:
     if label != "mixed":
-        return [_POLARITY[label]] * n
+        return [SentimentPolarity[label.upper()]] * n
     pool = list(SentimentPolarity)
     first, second = rng.choice(3, size=2, replace=False)
     sentiments = [pool[int(first)], pool[int(second)]]
@@ -133,9 +127,7 @@ def _quad_sentiments(label: str, n: int, rng: np.random.Generator) -> list[Senti
     return sentiments
 
 
-def make_synthetic_corpus(
-    n: int, seed: int = 0, categories: tuple[str, ...] = REST_CATEGORIES
-) -> list[Example]:
+def make_synthetic_corpus(n: int, seed: int = 0) -> list[Example]:
     """Generate ``n`` deterministic examples with 1-3 quads each."""
     if n < len(_LABEL_SCHEDULE):
         raise ValueError(f"need at least {len(_LABEL_SCHEDULE)} examples to cover all labels")
@@ -156,9 +148,8 @@ def make_synthetic_corpus(
         opinion_flags = _quad_flags(opinion_label, n_quads, rng)
         sentiments = _quad_sentiments(sent_label, n_quads, rng)
         # Distinct categories per quad keep match keys unique within the example.
-        quad_categories = [
-            categories[int(k)] for k in rng.choice(len(categories), size=n_quads, replace=False)
-        ]
+        picks = rng.choice(len(REST_CATEGORIES), size=n_quads, replace=False)
+        quad_categories = [REST_CATEGORIES[int(k)] for k in picks]
 
         tokens: list[str] = [_choose(rng, _FILLERS) for _ in range(int(rng.integers(1, 3)))]
         quads: list[Quadruple] = []

@@ -22,6 +22,7 @@ __all__ = ["VerificationResult", "random_batch", "oracle_suite", "gradient_suite
 
 ORACLE_TOLERANCE = 1e-9
 GRADIENT_TOLERANCE = 1e-4
+GRADIENT_STEP = 1e-5  # central-difference step of gradient_suite
 
 
 @dataclass
@@ -45,25 +46,19 @@ class VerificationResult:
         )
 
 
-def random_batch(
-    rng: np.random.Generator,
-    *,
-    max_examples: int = 8,
-    max_dim: int = 16,
-    dropout_p: float = 0.1,
-) -> ReprBatch:
-    """Random extended batch: N <= max_examples sources plus dropout views.
+def random_batch(rng: np.random.Generator) -> ReprBatch:
+    """Random extended batch: 1-8 sources of dim 2-16 plus their p = 0.1 dropout views.
 
     At these tiny dimensions dropout can zero out a whole view row, which is
     outside the cosine loss's domain; such draws are redrawn with a fresh
     dropout seed (deterministic given ``rng``).
     """
-    n = int(rng.integers(1, max_examples + 1))
-    dim = int(rng.integers(2, max_dim + 1))
+    n = int(rng.integers(1, 9))
+    dim = int(rng.integers(2, 17))
     reps = rng.standard_normal((n, dim))
     labels = rng.integers(0, int(rng.integers(1, 4)), size=n)
     for _ in range(100):
-        cfg = SclConfig(dropout_p=dropout_p, rng_seed=int(rng.integers(2**32)))
+        cfg = SclConfig(dropout_p=0.1, rng_seed=int(rng.integers(2**32)))
         batch = extend_batch(reps, labels, cfg)
         if np.linalg.norm(batch.reps, axis=1).min() > 0.0:
             return batch
@@ -134,7 +129,6 @@ def gradient_suite(
     batches: int = 100,
     tau: float = 0.25,
     seed: int = 0,
-    h_step: float = 1e-5,
     loss_fn: Callable[[ReprBatch, float], tuple[float, np.ndarray]] = scl_loss,
 ) -> VerificationResult:
     """Check analytic gradients against central finite differences.
@@ -153,9 +147,9 @@ def gradient_suite(
         loss, _ = loss_fn(batch, tau)
         # Roundoff on a central difference of a quantity built from ~1/tau-sized
         # log-sum-exp terms; safety factor 10.
-        sigma = np.finfo(np.float64).eps * max(1.0, abs(loss), 1.0 / tau) / h_step
+        sigma = np.finfo(np.float64).eps * max(1.0, abs(loss), 1.0 / tau) / GRADIENT_STEP
         floor = max(1e-8, 10.0 * sigma / GRADIENT_TOLERANCE)
-        return grad_check(batch, tau, h_step, floor=floor, loss_fn=loss_fn)
+        return grad_check(batch, tau, GRADIENT_STEP, floor=floor, loss_fn=loss_fn)
 
     return _run_suite("gradient check", GRADIENT_TOLERANCE, batches, seed, error, tau)
 

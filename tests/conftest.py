@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from acosgen.configs import default_category_map
 from acosgen.core import parse_dataset_text
 from acosgen.synth import make_synthetic_corpus
+
+# Property tests draw the same cases on every run and have no time limit, so a
+# random draw or a slow machine cannot flake the suite.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 MINI_DATASET = (
     "the pizza was great\t1,2 FOOD#QUALITY 2 3,4\n"

@@ -258,15 +258,9 @@ class TestSclConfigPlumbing:
         assert cfg.alpha == (0.3, 0.3, 0.3)
         assert (cfg.tau, cfg.dropout_p) == (shipped.tau, shipped.dropout_p)
         path = tmp_path / "c.cfg"
-        path.write_text("tau=0.5\ndropout=0.3\npooling=sum\nalpha1=0.9\n", encoding="utf-8")
+        path.write_text("tau=0.5\ndropout=0.3\nalpha1=0.9\n", encoding="utf-8")
         cfg = assemble("--scl-config", str(path), "--alpha", "0.3", "--seed", "4")
-        assert (cfg.tau, cfg.alpha, cfg.dropout_p, cfg.rng_seed, cfg.pooling) == (
-            0.5,
-            (0.3, 0.3, 0.3),
-            0.3,
-            4,
-            "sum",
-        )
+        assert (cfg.tau, cfg.alpha, cfg.dropout_p, cfg.rng_seed) == (0.5, (0.3, 0.3, 0.3), 0.3, 4)
 
     def test_config_seed_kept_unless_flag_given(self, capsys, tmp_path):
         demo = ("scl-demo", "--synthetic", "20", "--steps", "2", "--json")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acosgen.demo import TokenHashEncoder, export_representations, toy_demo
+from acosgen.demo import HEAD_DIM, TokenHashEncoder, export_representations, toy_demo
 from acosgen.scl import SclConfig
 from acosgen.synth import make_synthetic_corpus
 
@@ -80,7 +80,7 @@ class TestToyDemo:
 
 class TestExport:
     def test_tsv_layout(self, tmp_path, small_corpus):
-        result = toy_demo(small_corpus, SclConfig(rng_seed=0), steps=2, head_dim=4)
+        result = toy_demo(small_corpus, SclConfig(rng_seed=0), steps=2)
         path = tmp_path / "reps.tsv"
         export_representations(result, path)
         lines = path.read_text().splitlines()
@@ -88,5 +88,5 @@ class TestExport:
         first = lines[0].split("\t")
         assert first[0] == small_corpus[0].id
         assert first[1] == "sentiment"
-        assert len(first) == 3 + 4
+        assert len(first) == 3 + HEAD_DIM
         float(first[3])

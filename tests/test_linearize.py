@@ -68,6 +68,12 @@ class TestCategoryMap:
         assert cmap.natural("A#B") == "the a b"
         assert len(cmap) == 2
 
+    def test_lines_end_at_lf_or_crlf_only(self):
+        cmap = CategoryMap.from_text("A\tthe a\x85b\r\nC\tthe c\u2028d\n")
+        assert (cmap.natural("A"), cmap.natural("C")) == ("the a\x85b", "the c\u2028d")
+        with pytest.raises(CategoryMapError, match=r"^<string>:2: expected"):
+            CategoryMap.from_text("A\tthe a\x1cb\nC\n")
+
     def test_prefix_inverse_lookup(self, rest_map):
         assert rest_map.raw_for_description("the food quality") == "FOOD#QUALITY"
         # longest match wins over the FOOD#GENERAL prefix

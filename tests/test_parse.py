@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acosgen.configs import DATASETS, default_category_map
 from acosgen.core import IMPLICIT, SentimentPolarity
 from acosgen.linearize import FormatStyle, linearize_example
 from acosgen.parse import parse_output, read_predictions
@@ -133,6 +136,45 @@ class TestRobustness:
         assert read_predictions(path) == []
         path.write_text("\n", encoding="utf-8")
         assert read_predictions(path) == [""]
+
+
+_MAPS = {name: default_category_map(name) for name in DATASETS}
+_SENTIMENT_WORDS = [
+    f(w)
+    for w in ("positive", "neutral", "negative", "great", "okay", "bad")
+    for f in (str.lower, str.title, str.upper)
+]
+_TERMS = ["pizza", "it", "null", "the", "the it", "is", "pizza is good", "because", "IT", "Null"]
+_GRAMMAR = ["[SSEP]", "|", " is ", " IS ", " because ", "the ", "The ", " ", "  ", "\t", "\n"]
+
+
+@st.composite
+def _output(draw):
+    """A shipped map and up to four segments for it, joined by [SSEP]: either
+    template with adversarial slots, or any run of grammar tokens, terms,
+    sentiment words and the map's raw labels and descriptions."""
+    category_map = _MAPS[draw(st.sampled_from(DATASETS))]
+    categories = [t for raw in category_map.labels for t in (raw, category_map.natural(raw))]
+    category = st.sampled_from(categories).map(draw(st.sampled_from([str, str.upper])))
+    term, word = st.sampled_from(_TERMS + _GRAMMAR), st.sampled_from(_SENTIMENT_WORDS)
+    piece = st.sampled_from(categories + _TERMS + _GRAMMAR + _SENTIMENT_WORDS)
+    segment = st.one_of(
+        st.tuples(category, term, term, word).map(lambda t: "{} | the {} is {} | {}".format(*t)),
+        st.tuples(category, word, term, term).map(lambda t: "{} is {} because {} is {}".format(*t)),
+        st.lists(piece, max_size=12).map("".join),
+    )
+    return category_map, " [SSEP] ".join(draw(st.lists(segment, max_size=4)))
+
+
+class TestParseOutputProperties:
+    @settings(max_examples=300)
+    @given(_output(), st.sampled_from(list(FormatStyle)))
+    def test_never_raises_and_accounts_for_segments(self, case, style):
+        category_map, s = case
+        out = parse_output(s, style, category_map)
+        segments = len(s.split("[SSEP]")) if s.strip() else 0
+        assert out.dropped + len(out.quads) <= segments
+        assert all(q.category in category_map for q in out.quads)
 
 
 class TestRoundTrip:

@@ -11,6 +11,7 @@ from acosgen.scl import (
     extend_batch,
     grad_check,
     load_scl_config,
+    parse_scl_config,
     pool,
     project,
     reference_scl_loss,
@@ -34,10 +35,6 @@ class TestPool:
         h = rng.standard_normal((5, 8))
         naive = np.array([sum(h[i, j] for i in range(5)) / 5 for j in range(8)])
         assert np.allclose(pool(h), naive, rtol=0, atol=1e-12)
-
-    def test_sum_mode(self):
-        h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(pool(h, mode="sum"), np.array([4.0, 6.0]))
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -363,8 +360,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SclConfig(dropout_p=1.0)
         with pytest.raises(ValueError):
-            SclConfig(pooling="max")
-        with pytest.raises(ValueError):
             SclConfig(alpha=(1.0, 2.0))
 
     def test_file_loading(self, tmp_path):
@@ -381,6 +376,10 @@ class TestConfig:
         path.write_text("gamma=1\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_scl_config(path)
+
+    def test_pooling_key_rejected(self):
+        with pytest.raises(ValueError, match=r"^<string>:2: unknown key 'pooling'$"):
+            parse_scl_config("tau=0.5\npooling=mean\n")
 
     def test_shipped_defaults(self):
         from acosgen.configs import default_scl_config
