@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from ..linearize import CategoryMap
-from ..scl import SclConfig, load_scl_config, parse_scl_config
+from ..scl import SclConfig, load_scl_config
 
 __all__ = [
     "DATASETS",
@@ -42,18 +42,16 @@ def _canonical(name: str) -> str:
     return key
 
 
-def _read(filename: str) -> str:
-    return (resources.files(__package__) / filename).read_text(encoding="utf-8")
+def _shipped(dataset: str, kind: int) -> Path:
+    return resources.files(__package__) / _FILES[_canonical(dataset)][kind]
 
 
 def default_category_map(dataset: str) -> CategoryMap:
-    filename = _FILES[_canonical(dataset)][0]
-    return CategoryMap.from_text(_read(filename), source=filename)
+    return CategoryMap.from_tsv(_shipped(dataset, 0))
 
 
 def default_scl_config(dataset: str) -> SclConfig:
-    filename = _FILES[_canonical(dataset)][1]
-    return parse_scl_config(_read(filename), source=filename)
+    return load_scl_config(_shipped(dataset, 1))
 
 
 def _resolve(spec: str, shipped, from_file, what: str):

@@ -50,6 +50,7 @@ __all__ = [
     "quad_type",
     "characteristic_labels",
     "check_reserved",
+    "read_utf8",
     "split_lines",
 ]
 
@@ -274,7 +275,7 @@ def characteristic_labels(x: Example) -> CharacteristicLabels:
 
 
 class DatasetError(ValueError):
-    """Raised for malformed dataset files; carries the offending line number."""
+    """Raised for malformed dataset files and by :func:`read_utf8`; carries the line number."""
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         self.path = path
@@ -287,6 +288,19 @@ class DatasetError(ValueError):
         elif path is not None:
             where += " "
         super().__init__(where + message)
+
+
+def read_utf8(path: Path) -> str:
+    """The file decoded as UTF-8 with line ends as stored (``Path.read_text`` would turn a
+    lone CR into LF), so that :func:`split_lines` alone decides where a line ends."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(
+            f"not valid UTF-8 (byte 0x{data[exc.start]:02x})", path=str(path), line=line
+        ) from None
 
 
 def split_lines(text: str) -> list[str]:
@@ -414,9 +428,11 @@ def load_dataset(path: str | Path, split: str = "") -> list[Example]:
     """Load a dataset TSV file. ``split`` (train/dev/test) prefixes example ids."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_utf8(path)
     except FileNotFoundError:
         raise DatasetError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
     prefix = split if split else path.stem
     return parse_dataset_text(text, id_prefix=prefix, path=str(path))
 

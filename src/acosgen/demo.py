@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -172,10 +172,8 @@ def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
         codes = np.unique(labels, return_inverse=True)[1]
         losses = loss_curve[characteristic] = []
         for step in range(steps):
-            step_cfg = replace(
-                cfg, rng_seed=_derived_seed(cfg.rng_seed, characteristic, "step", step)
-            )
-            batch, keep = _extend_with_mask(reps, codes, step_cfg)
+            step_seed = _derived_seed(cfg.rng_seed, characteristic, "step", step)
+            batch, keep = _extend_with_mask(reps, codes, cfg.dropout_p, step_seed)
             loss, grad = scl_loss(batch, cfg.tau)
             losses.append(loss)
             n = reps.shape[0]

@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .core import (
-    QUAD_SEPARATOR, Example, Quadruple, SentimentPolarity, Span, check_reserved, split_lines
+    QUAD_SEPARATOR, Example, Quadruple, SentimentPolarity, Span, check_reserved, read_utf8,
+    split_lines,
 )
 
 __all__ = [
@@ -144,7 +145,7 @@ class CategoryMap:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "CategoryMap":
         path = Path(path)
-        return cls.from_text(path.read_text(encoding="utf-8"), source=str(path))
+        return cls.from_text(read_utf8(path), source=str(path))
 
 
 def linearize_quad(q: Quadruple, style: FormatStyle, category_map: CategoryMap) -> str:

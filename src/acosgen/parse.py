@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import IMPLICIT, QUAD_SEPARATOR, SentimentPolarity, _Implicit, split_lines
+from .core import IMPLICIT, QUAD_SEPARATOR, SentimentPolarity, _Implicit, read_utf8, split_lines
 from .linearize import (
     CategoryMap,
     FormatStyle,
@@ -160,4 +160,4 @@ def parse_output(s: str, style: FormatStyle, category_map: CategoryMap) -> Parse
 
 def read_predictions(path: str | Path) -> list[str]:
     """Read a predictions file: one output string per line, blank = empty."""
-    return split_lines(Path(path).read_text(encoding="utf-8"))
+    return split_lines(read_utf8(Path(path)))

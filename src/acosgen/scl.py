@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import split_lines
+from .core import read_utf8, split_lines
 
 __all__ = [
     "SclConfig",
@@ -115,33 +115,22 @@ class ProjectionHead:
 
 @dataclass(frozen=True)
 class ReprBatch:
-    """Extended batch: representation rows, labels, and view->source pairing.
-
-    Rows N..2N-1 are the dropout views of rows 0..N-1 in order;
-    ``view_of[i]`` is the source row index (``i`` itself for sources).
-    """
+    """Extended batch: representation rows and their labels; rows sharing a label are positives."""
 
     reps: np.ndarray  # (rows, dim)
     labels: np.ndarray  # (rows,)
-    view_of: np.ndarray  # (rows,)
 
     def __post_init__(self) -> None:
         reps = np.asarray(self.reps, dtype=np.float64)
         labels = np.asarray(self.labels)
-        view_of = np.asarray(self.view_of, dtype=np.intp)
         if reps.ndim != 2 or reps.shape[0] < 2:
             raise ValueError(f"reps must be a (rows >= 2, dim) matrix, got shape {reps.shape}")
-        if labels.shape != (reps.shape[0],) or view_of.shape != (reps.shape[0],):
-            raise ValueError("labels and view_of must have one entry per representation row")
+        if labels.shape != (reps.shape[0],):
+            raise ValueError("labels must have one entry per representation row")
         if not np.isfinite(reps).all():
             raise ValueError("representations must be finite")
-        if view_of.min() < 0 or view_of.max() >= reps.shape[0]:
-            raise ValueError("view_of indices out of range")
-        if not np.all(labels == labels[view_of]):
-            raise ValueError("views must carry the label of their source row")
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "view_of", view_of)
 
     @property
     def num_rows(self) -> int:
@@ -167,24 +156,13 @@ def project(v: np.ndarray, head: ProjectionHead) -> np.ndarray:
 
 
 def _extend_with_mask(
-    reps: np.ndarray, labels: Sequence, cfg: SclConfig
+    reps: np.ndarray, labels: Sequence, dropout_p: float, seed: int
 ) -> tuple[ReprBatch, np.ndarray]:
     """extend_batch plus the keep-mask it drew (needed for backprop)."""
     reps = np.asarray(reps, dtype=np.float64)
-    if reps.ndim != 2 or reps.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (N, dim) matrix, got shape {reps.shape}")
-    labels_arr = np.asarray(labels)
-    if labels_arr.shape != (reps.shape[0],):
-        raise ValueError("need exactly one label per representation row")
-    keep = np.random.default_rng(cfg.rng_seed).random(reps.shape) >= cfg.dropout_p
-    views = reps * keep / (1.0 - cfg.dropout_p)
-    n = reps.shape[0]
-    batch = ReprBatch(
-        reps=np.concatenate([reps, views], axis=0),
-        labels=np.concatenate([labels_arr, labels_arr], axis=0),
-        view_of=np.concatenate([np.arange(n), np.arange(n)]),
-    )
-    return batch, keep
+    keep = np.random.default_rng(seed).random(reps.shape) >= dropout_p
+    views = reps * keep / (1.0 - dropout_p)
+    return ReprBatch(np.concatenate([reps, views]), np.concatenate([labels, labels])), keep
 
 
 def extend_batch(reps: np.ndarray, labels: Sequence, cfg: SclConfig) -> ReprBatch:
@@ -194,7 +172,7 @@ def extend_batch(reps: np.ndarray, labels: Sequence, cfg: SclConfig) -> ReprBatc
     of row i lands at row N+i with the label copied. Deterministic for a
     fixed ``cfg.rng_seed``.
     """
-    batch, _ = _extend_with_mask(reps, labels, cfg)
+    batch, _ = _extend_with_mask(reps, labels, cfg.dropout_p, cfg.rng_seed)
     return batch
 
 
@@ -395,4 +373,4 @@ def parse_scl_config(text: str, *, source: str = "<string>") -> SclConfig:
 def load_scl_config(path: str | Path) -> SclConfig:
     """Read an SclConfig from a plain ``key=value`` file."""
     path = Path(path)
-    return parse_scl_config(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_scl_config(read_utf8(path), source=str(path))

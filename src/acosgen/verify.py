@@ -65,16 +65,6 @@ def random_batch(rng: np.random.Generator) -> ReprBatch:
     raise RuntimeError("could not draw a batch without zero-norm rows")
 
 
-def _batch_payload(batch: ReprBatch, tau: float, error: float) -> dict:
-    return {
-        "tau": tau,
-        "error": error,
-        "reps": batch.reps.tolist(),
-        "labels": [str(label) for label in batch.labels],
-        "view_of": batch.view_of.tolist(),
-    }
-
-
 def _run_suite(
     name: str,
     tolerance: float,
@@ -84,6 +74,8 @@ def _run_suite(
     tau: float,
 ) -> VerificationResult:
     """Score ``batches`` random batches with ``error_fn`` against ``tolerance``."""
+    if batches < 0:
+        raise ValueError(f"batches must be >= 0, got {batches}")
     rng = np.random.default_rng(seed)
     max_err = 0.0
     failures = 0
@@ -95,7 +87,8 @@ def _run_suite(
         if err >= tolerance:
             failures += 1
             if first is None:
-                first = _batch_payload(batch, tau, err)
+                labels = [str(label) for label in batch.labels]
+                first = {"tau": tau, "error": err, "reps": batch.reps.tolist(), "labels": labels}
     return VerificationResult(
         name=name,
         cases=batches,

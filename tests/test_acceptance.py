@@ -215,9 +215,7 @@ def test_scl_loss_oracle():
 
     for n in (2, 5):
         reps = np.tile(np.array([0.4, -0.3, 1.1]), (2 * n, 1))
-        identical = ReprBatch(
-            reps=reps, labels=["x"] * (2 * n), view_of=np.r_[np.arange(n), np.arange(n)]
-        )
+        identical = ReprBatch(reps=reps, labels=["x"] * (2 * n))
         assert scl_loss(identical, 0.25)[0] == pytest.approx(math.log(2 * n - 1), rel=1e-12)
 
     orthogonal = extend_batch(

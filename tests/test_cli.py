@@ -184,6 +184,20 @@ class TestSclCheck:
         assert "loss oracle: 3/3" in out
         assert "gradient check: 1/1" in out
 
+    @pytest.mark.parametrize("flag", ["--oracle-batches", "--grad-batches"])
+    def test_negative_batch_count_exit_2(self, capsys, flag):
+        code, out, err = run(
+            capsys, "scl-check", "--oracle-batches", "0", "--grad-batches", "0", flag, "-5"
+        )
+        assert code == 2
+        assert "batches must be >= 0, got -5" in err
+
+    def test_negative_batch_count_from_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ACOSGEN_ORACLE_BATCHES", "-1")
+        code, _, err = run(capsys, "scl-check", "--grad-batches", "0")
+        assert code == 2
+        assert "batches must be >= 0, got -1" in err
+
 
 class TestSclDemo:
     def test_json_report(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import pytest
@@ -92,6 +93,24 @@ class TestLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="no such file"):
             load_dataset(tmp_path / "nope.tsv")
+
+    def test_lone_cr_in_file_stays_in_its_line(self, tmp_path):
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"a\rb c\t0,1 FOOD#QUALITY 2 -1,-1\n")
+        (x,) = load_dataset(path)
+        assert (x.text, x.tokens) == ("a\rb c", ("a", "b", "c"))
+
+    def test_non_utf8_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"a b\t0,1 C 2 -1,-1\ncaf\xe9 b\t0,1 C 2 -1,-1\n")
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}:2: not valid UTF-8 (byte 0xe9)"
+        assert exc.value.line == 2
+
+    def test_unreadable_path_raises_dataset_error(self, tmp_path):
+        with pytest.raises(DatasetError, match=f"^cannot read {re.escape(str(tmp_path))}: "):
+            load_dataset(tmp_path)
 
     def test_loaded_examples_share_spans(self):
         a, b = parse_dataset_text("a b c\t0,1 C 2 -1,-1\nd e\t0,1 D 1 -1,-1\n")

@@ -137,6 +137,11 @@ class TestRobustness:
         path.write_text("\n", encoding="utf-8")
         assert read_predictions(path) == [""]
 
+    def test_read_predictions_lone_cr_stays_in_its_line(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"x\ry\nz\n")
+        assert read_predictions(path) == ["x\ry", "z"]
+
 
 _MAPS = {name: default_category_map(name) for name in DATASETS}
 _SENTIMENT_WORDS = [

@@ -1,8 +1,11 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acosgen.scl import (
     ProjectionHead,
@@ -18,7 +21,7 @@ from acosgen.scl import (
     scl_loss,
     total_loss,
 )
-from acosgen.verify import gradient_suite, oracle_suite, random_batch
+from acosgen.verify import gradient_suite, oracle_suite, random_batch, save_failure
 
 
 class TestPool:
@@ -88,7 +91,6 @@ class TestExtendBatch:
         batch = extend_batch(reps, list("aabb"), SclConfig(dropout_p=0.0))
         assert np.array_equal(batch.reps[4:], reps)
         assert list(batch.labels) == list("aabbaabb")
-        assert list(batch.view_of) == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_deterministic_under_seed(self):
         reps = np.random.default_rng(1).standard_normal((3, 5))
@@ -117,6 +119,38 @@ class TestExtendBatch:
         sigma = np.abs(source[0]) * math.sqrt(p / (1 - p) / trials)
         assert np.all(np.abs(mean - source[0]) <= 3 * sigma)
 
+    @settings(max_examples=300)
+    @given(
+        rows=st.integers(0, 8),
+        ndim=st.sampled_from([1, 2, 3]),
+        label_surplus=st.sampled_from([0, 0, -1, 1]),
+        p=st.floats(0.0, 0.9, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rejects_exactly_the_invalid_inputs(self, rows, ndim, label_surplus, p, seed, data):
+        # ReprBatch is the one check of an extended batch: a wrong shape, a wrong
+        # label count or a non-finite entry raises ValueError, anything else extends.
+        shape = (rows, 3, 2)[:ndim]
+        entry = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([np.nan, np.inf, -np.inf]))
+        size = math.prod(shape)
+        reps = np.array(data.draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
+        n_labels = max(rows + label_surplus, 0)
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n_labels, max_size=n_labels))
+        valid = ndim == 2 and rows >= 1 and len(labels) == rows and np.isfinite(reps).all()
+        cfg = SclConfig(dropout_p=p, rng_seed=seed)
+        with np.errstate(invalid="ignore"):  # inf times a dropped coordinate
+            if not valid:
+                with pytest.raises(ValueError):
+                    extend_batch(reps, labels, cfg)
+                return
+            batch = extend_batch(reps, labels, cfg)
+        assert batch.reps.shape == (2 * rows, 3)
+        assert np.array_equal(batch.reps[:rows], reps)
+        assert list(batch.labels) == labels + labels
+        views = batch.reps[rows:]
+        assert np.all((views == 0.0) | (views == reps / (1.0 - p)))
+
 
 class TestSclLoss:
     def test_single_pair_zero_loss(self):
@@ -131,7 +165,7 @@ class TestSclLoss:
         rng = np.random.default_rng(11)
         for dim in (2, 5, 16):
             reps = rng.standard_normal((2, dim))
-            batch = ReprBatch(reps=reps, labels=[3, 3], view_of=np.arange(2))
+            batch = ReprBatch(reps=reps, labels=[3, 3])
             loss, grad = scl_loss(batch, 0.25)
             assert loss == 0.0
             assert np.allclose(grad, 0.0, atol=1e-15)
@@ -145,7 +179,7 @@ class TestSclLoss:
         codes = np.r_[codes, codes]
         reps = rng.standard_normal((codes.size, 6))
         results = [
-            scl_loss(ReprBatch(reps=reps, labels=labels, view_of=np.arange(codes.size)), 0.25)
+            scl_loss(ReprBatch(reps=reps, labels=labels), 0.25)
             for labels in (codes, np.array(["neg", "pos", "neu"])[codes], codes * 10 + 7, codes - 2)
         ]
         loss, grad = results[0]
@@ -166,9 +200,7 @@ class TestSclLoss:
         for n in (2, 4, 7):
             row = np.array([0.3, -1.2, 0.7])
             reps = np.tile(row, (2 * n, 1))
-            batch = ReprBatch(
-                reps=reps, labels=["x"] * (2 * n), view_of=np.r_[np.arange(n), np.arange(n)]
-            )
+            batch = ReprBatch(reps=reps, labels=["x"] * (2 * n))
             loss, grad = scl_loss(batch, 0.25)
             assert loss == pytest.approx(math.log(2 * n - 1), rel=1e-12)
             assert np.allclose(grad, 0.0, atol=1e-12)
@@ -200,11 +232,7 @@ class TestSclLoss:
         rng = np.random.default_rng(5)
         batch = random_batch(rng)
         perm = rng.permutation(batch.num_rows)
-        permuted = ReprBatch(
-            reps=batch.reps[perm],
-            labels=np.asarray(batch.labels)[perm],
-            view_of=np.arange(batch.num_rows),  # pairing irrelevant to the loss
-        )
+        permuted = ReprBatch(reps=batch.reps[perm], labels=np.asarray(batch.labels)[perm])
         loss, grad = scl_loss(batch, 0.25)
         loss_p, grad_p = scl_loss(permuted, 0.25)
         assert loss_p == pytest.approx(loss, rel=1e-12)
@@ -229,32 +257,19 @@ class TestSclLoss:
         batch = ReprBatch(
             reps=np.random.default_rng(0).standard_normal((3, 4)),
             labels=["a", "a", "b"],
-            view_of=np.arange(3),
         )
         with pytest.raises(ValueError, match="no same-label partner"):
             scl_loss(batch, 0.25)
 
     def test_zero_norm_row_rejected(self):
         reps = np.array([[1.0, 0.0], [0.0, 0.0]])
-        batch = ReprBatch(reps=reps, labels=["a", "a"], view_of=np.arange(2))
+        batch = ReprBatch(reps=reps, labels=["a", "a"])
         with pytest.raises(ValueError, match="zero-norm"):
             scl_loss(batch, 0.25)
 
     def test_non_finite_reps_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            ReprBatch(
-                reps=np.array([[1.0, np.inf], [0.0, 1.0]]),
-                labels=["a", "a"],
-                view_of=np.arange(2),
-            )
-
-    def test_view_label_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="label of their source"):
-            ReprBatch(
-                reps=np.ones((2, 3)),
-                labels=["a", "b"],
-                view_of=np.array([0, 0]),
-            )
+            ReprBatch(reps=np.array([[1.0, np.inf], [0.0, 1.0]]), labels=["a", "a"])
 
 
 class TestGradCheck:
@@ -273,7 +288,7 @@ class TestGradCheck:
     def test_zero_gradient_at_symmetric_point(self):
         row = np.array([0.5, -0.25, 1.0])
         reps = np.tile(row, (6, 1))
-        batch = ReprBatch(reps=reps, labels=["x"] * 6, view_of=np.r_[np.arange(3), np.arange(3)])
+        batch = ReprBatch(reps=reps, labels=["x"] * 6)
         _, grad = scl_loss(batch, 0.25)
         assert np.allclose(grad, 0.0, atol=1e-12)
         h = 1e-5
@@ -414,6 +429,20 @@ class TestVerifySuites:
 
         result = oracle_suite(batches=20, seed=0, loss_fn=broken)
         assert not result.passed
+
+    def test_failure_file_keys(self, tmp_path):
+        def broken(batch, tau):
+            loss, grad = scl_loss(batch, tau)
+            return 1.01 * loss, grad
+
+        path = save_failure(oracle_suite(batches=1, seed=0, loss_fn=broken), tmp_path / "f.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert list(payload) == ["suite", "tau", "error", "reps", "labels"]
+
+    def test_negative_batch_count_rejected(self):
+        for suite in (oracle_suite, gradient_suite):
+            with pytest.raises(ValueError, match="batches must be >= 0, got -1"):
+                suite(batches=-1)
 
     @pytest.mark.parametrize("tau", [0.05, 0.01])
     def test_oracle_holds_at_sharp_temperatures(self, tau):
