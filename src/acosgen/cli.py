@@ -203,6 +203,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_scl_check(args) -> int:
+    # Both counts are checked before either suite spends its time.
+    for batches in (args.oracle_batches, args.grad_batches):
+        if batches < 0:
+            raise ValueError(f"batches must be >= 0, got {batches}")
     oracle = oracle_suite(batches=args.oracle_batches, tau=args.tau, seed=args.seed)
     gradient = gradient_suite(batches=args.grad_batches, tau=args.tau, seed=args.seed)
     print(oracle.summary())

@@ -305,11 +305,14 @@ def read_utf8(path: Path) -> str:
 
 def split_lines(text: str) -> list[str]:
     """File content split into lines at LF or CRLF only: U+0085, U+2028,
-    U+001C-U+001E, VT, FF and a lone CR stay inside their line."""
+    U+001C-U+001E, VT, FF and a lone CR stay inside their line. Only the
+    one CR of a CRLF goes: a CR before it, or ending a last line with no LF, stays."""
     lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # what follows the final LF, or the whole of an empty text
-    return [line.rstrip("\r") for line in lines]
+    last = lines.pop()  # what follows the final LF, or the whole of a text without one
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if last:
+        lines.append(last)
+    return lines
 
 
 # Distinct span strings and sentiment codes memoized by the loader. Spans are

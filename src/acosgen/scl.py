@@ -14,8 +14,8 @@ similarity. The batch loss is the mean of L_i over the extended batch.
 Everything here is float64 and numerically stabilized (max-subtraction
 inside the log-sum-exp). ``scl_loss`` returns the analytic gradient with
 respect to every representation row; its cost is memory traffic over
-rows x rows arrays, so it keeps one float buffer and one boolean mask of that
-size and takes the positive-pair gradient from per-class sums of unit rows.
+rows x rows arrays, so it keeps a single float buffer of that size and takes
+the positive logits and the positive-pair gradient from per-class sums.
 ``reference_scl_loss`` is a deliberately naive double-summation of the same
 quantity, kept as an independent oracle, and ``grad_check`` verifies the
 gradient against central finite differences.
@@ -183,22 +183,38 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     the derivative of the mean per-row loss with respect to every
     representation row (cosine similarity, temperature ``tau``).
 
-    One rows x rows buffer goes, in place, from cosine similarities to
-    shifted logits, their exponentials and the softmax ``S`` over B(i).
-    Positive logits are summed from the same similarity entries that the
-    log-sum-exp uses, through a boolean same-label mask, so they cancel it
-    exactly (a two-row batch of one label has loss 0.0). With unit rows
-    ``u`` and ``C_y`` the sum of the unit rows of row ``i``'s label, the
-    gradient with respect to ``u_i`` is
+    Rows are scaled to ``w_i = h_i / (sqrt(tau) |h_i|)``, so the Gram matrix
+    ``w w^T`` is the logit matrix ``sim / tau``. One rows x rows buffer then
+    takes, in place: the Gram GEMM, a zeroed diagonal, the K-column GEMM
+    with the one-hot class matrix that sums each row's positive logits, a
+    ``-inf`` diagonal, one row max, one subtract, one exp, one row sum and
+    one scale by the reciprocal sums, which leaves the softmax ``S`` over
+    B(i). Then the diagonal becomes ``1/|P(i)|`` and the two gradient GEMMs
+    read it. No rows x rows mask or division is made.
 
-        g_i = ((S u)_i + (S^T u)_i - 2 (C_y - u_i) / |P(i)|) / (rows * tau)
+    The positive sums cost rows^2 * K flops, K being the number of classes.
+    Every caller has K <= 4 (``characteristic_labels`` yields at most four
+    sentiment and three span labels, ``verify.random_batch`` at most three),
+    so that GEMM costs less than one rows x rows pass.
+
+    The positive logits are sums of the very buffer entries the log-sum-exp
+    reads; the diagonal adds 0.0. In a two-row batch of one label each sum is
+    ``0 + s = s``, so it cancels the log-sum-exp bit for bit and the loss is
+    0.0. With ``C_y`` the sum of the ``w`` rows of row ``i``'s label, the
+    gradient with respect to ``w_i`` is
+
+        g_i = ((S w)_i + (S^T w)_i - 2 (C_y - w_i) / |P(i)|) / rows
 
     and, the loss being invariant to each row's scale, the gradient with
-    respect to ``h_i`` is its tangent projection ``(g_i - (u_i . g_i) u_i) / |h_i|``.
-    Non-negative integer labels below the row count serve as class codes as
-    they are; other labels are ranked with ``np.unique`` on every call. Both
-    paths stay: at <= 32 rows ``np.unique`` takes 15-19 us against 3-5 us for
-    the code check, a tenth of the kernel's 100-140 us (2-core x86, OpenBLAS).
+    respect to ``h_i`` is its tangent projection
+    ``(g_i - tau (w_i . g_i) w_i) / (sqrt(tau) |h_i|)``.
+    Integer labels 0..K-1, each present, serve as class codes as they are;
+    other labels, sparse integer codes included, are ranked with
+    ``np.unique`` on every call. So K is always the number of distinct labels,
+    and every encoding of one partition gives GEMMs of the same shapes.
+    Both paths stay: at <= 32 rows ``np.unique`` takes 15-19 us against
+    3-5 us for the code check, a tenth of the kernel's 100-140 us (2-core
+    x86, OpenBLAS).
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
@@ -206,25 +222,28 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     norms = np.sqrt((batch.reps * batch.reps).sum(axis=1))
     if not norms.all():
         raise ValueError("zero-norm representation row: cosine similarity undefined")
-    unit = batch.reps / norms[:, None]
+    root_tau = math.sqrt(tau)
+    w = batch.reps * (1.0 / (root_tau * norms))[:, None]
 
     labels = batch.labels
-    if labels.dtype.kind in "iu" and labels.min() >= 0 and labels.max() < rows:
-        codes = labels
-    else:
+    codes = labels
+    dense = labels.dtype.kind in "iu" and labels.min() >= 0 and labels.max() < rows
+    if dense:
+        class_sizes = np.bincount(codes)
+        dense = class_sizes.all()
+    if not dense:
         codes = np.unique(labels, return_inverse=True)[1]
-    class_sizes = np.bincount(codes)
+        class_sizes = np.bincount(codes)
     pos_counts = class_sizes[codes] - 1
     if not pos_counts.all():
         bad = int(np.argmin(pos_counts))
         raise ValueError(f"row {bad} has no same-label partner in the batch")
-    same = codes[:, None] == codes[None, :]
-    same.flat[:: rows + 1] = False
+    onehot = (codes == np.arange(class_sizes.size)[:, None]).astype(np.float64)
 
-    buf = unit @ unit.T
-    pos_logits = np.einsum("ij,ij->i", buf, same) / tau
+    buf = w @ w.T
+    buf.flat[:: rows + 1] = 0.0
+    pos_logits = (buf @ onehot.T)[np.arange(rows), codes]
     # Stabilized log-sum-exp over each row's B(i) = all other rows.
-    buf /= tau
     buf.flat[:: rows + 1] = -np.inf
     row_max = buf.max(axis=1)
     buf -= row_max[:, None]
@@ -233,18 +252,17 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     lse = row_max + np.log(denom)
     loss = float((lse - pos_logits / pos_counts).mean())
 
-    buf /= denom[:, None]
-    # The softmax diagonal is 0; 1/|P(i)| there adds the +2 u_i / |P(i)| of
+    buf *= (1.0 / denom)[:, None]
+    # The softmax diagonal is 0; 1/|P(i)| there adds the +2 w_i / |P(i)| of
     # the positive term through the two products below.
     buf.flat[:: rows + 1] = 1.0 / pos_counts
-    onehot = (codes == np.arange(class_sizes.size)[:, None]).astype(np.float64)
     # No class has one member here (rejected above), so no division by zero.
-    class_terms = (onehot @ unit) * (2.0 / (class_sizes - 1))[:, None]
-    g = buf @ unit
-    g += buf.T @ unit
+    class_terms = (onehot @ w) * (2.0 / (class_sizes - 1))[:, None]
+    g = buf @ w
+    g += buf.T @ w
     g -= class_terms[codes]
-    g -= (unit * g).sum(axis=1)[:, None] * unit
-    g *= (1.0 / (rows * tau * norms))[:, None]
+    g -= (tau * (w * g).sum(axis=1))[:, None] * w
+    g *= (1.0 / (rows * root_tau * norms))[:, None]
     return loss, g
 
 

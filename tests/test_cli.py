@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from acosgen import cli
 from acosgen.cli import _assemble_scl_config, _build_parser, main
 from acosgen.configs import default_scl_config
 
@@ -183,6 +184,17 @@ class TestSclCheck:
         assert code == 0
         assert "loss oracle: 3/3" in out
         assert "gradient check: 1/1" in out
+
+    def test_negative_count_rejected_before_any_suite_runs(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "oracle_suite", lambda **kw: calls.append(kw))
+        code, _, err = run(capsys, "scl-check", "--grad-batches", "-1")
+        assert (code, calls) == (2, [])
+        assert "batches must be >= 0, got -1" in err
+        monkeypatch.setenv("ACOSGEN_GRAD_BATCHES", "-1")
+        code, _, err = run(capsys, "scl-check")
+        assert (code, calls) == (2, [])
+        assert "batches must be >= 0, got -1" in err
 
     @pytest.mark.parametrize("flag", ["--oracle-batches", "--grad-batches"])
     def test_negative_batch_count_exit_2(self, capsys, flag):

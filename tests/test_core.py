@@ -18,6 +18,7 @@ from acosgen.core import (
     parse_dataset_text,
     quad_type,
     serialize_dataset,
+    split_lines,
 )
 
 from conftest import MINI_DATASET, example_from_line
@@ -171,6 +172,17 @@ class TestCanonicalInput:
     def test_lone_cr_does_not_split(self):
         (x,) = parse_dataset_text("a\rb\t0,1 C 2 -1,-1\n")
         assert x.tokens == ("a", "b")
+
+    def test_only_the_cr_of_a_crlf_is_removed(self):
+        assert split_lines("a\r\r\nb\r") == ["a\r", "b\r"]
+        assert split_lines("a\r\nb\n") == ["a", "b"]
+        assert split_lines("\r") == ["\r"]
+
+    def test_dataset_ending_in_cr_without_lf(self, tmp_path):
+        path = tmp_path / "cr_end.tsv"
+        path.write_bytes(b"a b\t0,1 C 2 -1,-1\r\r\nc d\t1,2 C 0 -1,-1\r")
+        examples = load_dataset(path)
+        assert serialize_dataset(examples) == "a b\t0,1 C 2 -1,-1\nc d\t1,2 C 0 -1,-1\n"
 
     @pytest.mark.parametrize(
         "field,message",

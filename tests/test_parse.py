@@ -142,6 +142,11 @@ class TestRobustness:
         path.write_bytes(b"x\ry\nz\n")
         assert read_predictions(path) == ["x\ry", "z"]
 
+    def test_read_predictions_ending_in_cr_without_lf(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"x\r\r\ny\r")
+        assert read_predictions(path) == ["x\r", "y\r"]
+
 
 _MAPS = {name: default_category_map(name) for name in DATASETS}
 _SENTIMENT_WORDS = [

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,13 @@ from acosgen.scl import (
     scl_loss,
     total_loss,
 )
-from acosgen.verify import gradient_suite, oracle_suite, random_batch, save_failure
+from acosgen.verify import (
+    ORACLE_TOLERANCE,
+    gradient_suite,
+    oracle_suite,
+    random_batch,
+    save_failure,
+)
 
 
 class TestPool:
@@ -186,6 +193,64 @@ class TestSclLoss:
         for other_loss, other_grad in results[1:]:
             assert abs(other_loss - loss) <= 1e-15
             assert np.abs(other_grad - grad).max() <= 1e-15
+
+    @settings(max_examples=150)
+    @given(
+        rows=st.integers(2, 24),
+        dim=st.integers(2, 16),
+        tau=st.sampled_from([0.01, 0.05, 0.25, 1.0]),
+        encoding=st.sampled_from(["codes", "strings", "sparse", "negative"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_positives_from_class_sums_match_reference(
+        self, rows, dim, tau, encoding, seed, data
+    ):
+        # Every class has at least two members; the rest of the rows are drawn.
+        k = data.draw(st.integers(1, rows // 2))
+        free = rows - 2 * k
+        extra = data.draw(st.lists(st.integers(0, k - 1), min_size=free, max_size=free))
+        order = data.draw(st.permutations(range(rows)))
+        codes = np.r_[np.arange(k), np.arange(k), extra].astype(np.int64)[order]
+        reps = np.random.default_rng(seed).standard_normal((rows, dim))
+        encodings = {
+            "codes": codes,
+            "strings": np.array([f"c{c}" for c in codes]),
+            "sparse": codes * 10 + 7,
+            "negative": -1 - codes,
+        }
+        results = {
+            name: scl_loss(ReprBatch(reps=reps, labels=labels), tau)
+            for name, labels in encodings.items()
+        }
+        loss, grad = results[encoding]
+        # Gradients reach ~70 at tau = 0.01, where one ulp is 1.4e-14, so their
+        # agreement is scaled like the oracle metric: relative, floored at 1.
+        grad_scale = max(1.0, np.abs(grad).max())
+        for other_loss, other_grad in results.values():
+            assert abs(other_loss - loss) <= 1e-15
+            assert np.abs(other_grad - grad).max() <= 1e-15 * grad_scale
+        # The oracle suite's metric: relative error floored at 1.
+        reference = reference_scl_loss(ReprBatch(reps=reps, labels=encodings[encoding]), tau)
+        assert abs(loss - reference) / max(abs(reference), abs(loss), 1.0) < ORACLE_TOLERANCE
+        pair = ReprBatch(reps=reps[:2], labels=encodings[encoding][:1].repeat(2))
+        assert scl_loss(pair, tau)[0] == 0.0
+
+    @pytest.mark.parametrize("rows,dim", [(400, 32), (1000, 16)])
+    def test_traced_peak_below_one_and_a_half_gram_buffers(self, rows, dim):
+        # The kernel keeps one rows x rows float64 buffer beside rows x dim
+        # temporaries; a second rows x rows float temporary would pass 2.
+        rng = np.random.default_rng(14)
+        batch = ReprBatch(reps=rng.standard_normal((rows, dim)), labels=rng.integers(0, 3, rows))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            scl_loss(batch, 0.25)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows * rows * 8
 
     def test_matches_reference_on_hundred_row_batch(self):
         rng = np.random.default_rng(13)
