@@ -31,17 +31,13 @@ from .linearize import (
 )
 from .parse import ParseOutcome, PredictedQuad, parse_output, read_predictions
 from .scl import (
-    ProjectionHead,
     ReprBatch,
     SclConfig,
     extend_batch,
     grad_check,
     load_scl_config,
-    pool,
-    project,
     reference_scl_loss,
     scl_loss,
-    total_loss,
 )
 
 __all__ = [
@@ -71,17 +67,13 @@ __all__ = [
     "PredictedQuad",
     "parse_output",
     "read_predictions",
-    "ProjectionHead",
     "ReprBatch",
     "SclConfig",
     "extend_batch",
     "grad_check",
     "load_scl_config",
-    "pool",
-    "project",
     "reference_scl_loss",
     "scl_loss",
-    "total_loss",
 ]
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ external 2-D projection tools.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Example, characteristic_labels
-from .scl import ProjectionHead, SclConfig, _extend_with_mask, pool, scl_loss
+from .scl import SclConfig, _extend_with_mask, scl_loss
 
 __all__ = ["TokenHashEncoder", "SeparationStats", "DemoResult", "toy_demo", "export_representations"]
 
@@ -96,7 +97,7 @@ class DemoResult:
         out = {"steps": self.steps, "characteristics": {}, "skipped": dict(self.skipped)}
         for name, s in self.stats.items():
             curve = self.loss_curve.get(name, [])
-            out["characteristics"][name] = {
+            row = {
                 "intra_before": s.intra_before,
                 "inter_before": s.inter_before,
                 "gap_before": s.gap_before,
@@ -106,6 +107,8 @@ class DemoResult:
                 "loss_first": curve[0] if curve else None,
                 "loss_last": curve[-1] if curve else None,
             }
+            # A mean over no pairs is NaN, which JSON cannot hold: write null.
+            out["characteristics"][name] = {k: None if v != v else v for k, v in row.items()}
         return out
 
     def to_text(self) -> str:
@@ -145,7 +148,7 @@ def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
     all_labels = [characteristic_labels(x) for x in corpus]
 
     encoder = TokenHashEncoder(dim=ENCODER_DIM, seed=cfg.rng_seed)
-    pooled = np.stack([pool(encoder.encode(x)) for x in corpus])
+    pooled = np.stack([encoder.encode(x).mean(axis=0) for x in corpus])
 
     stats: dict[str, SeparationStats] = {}
     skipped: dict[str, str] = {}
@@ -162,8 +165,8 @@ def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
             continue
         alpha = cfg.alpha[char_index]
         head_rng = np.random.default_rng(_derived_seed(cfg.rng_seed, characteristic, "init"))
-        head = ProjectionHead.random(ENCODER_DIM, HEAD_DIM, rng=head_rng)
-        weight, bias = head.weight.copy(), head.bias.copy()
+        weight = head_rng.standard_normal((HEAD_DIM, ENCODER_DIM)) / math.sqrt(ENCODER_DIM)
+        bias = np.zeros(HEAD_DIM)
 
         reps = pooled @ weight.T + bias
         intra_before, inter_before = _separation(reps, labels)
@@ -214,4 +217,4 @@ def export_representations(result: DemoResult, path: str | Path) -> None:
         for example_id, label, row in zip(result.example_ids, labels, reps):
             coords = "\t".join(f"{v:.8g}" for v in row)
             lines.append(f"{example_id}\t{characteristic}\t{label}\t{coords}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")

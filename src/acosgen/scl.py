@@ -1,9 +1,12 @@
 """Supervised contrastive objective over characteristic representations.
 
-Per-example representations are pooled encoder states passed through one
-fully-connected head per characteristic. A mini-batch of N representations
-is extended with one dropout-altered view per element (labels preserved) so
-every row has at least one same-label partner; the per-row loss is then
+In GEN-SCL, mean-pooled encoder states pass through one head per
+characteristic (sentiment, aspect, opinion), and training adds each
+characteristic's loss, weighted by its ``alpha``, to the seq2seq
+cross-entropy. This module holds that loss and its oracles; ``demo.toy_demo``
+owns its toy encoder and heads. A mini-batch of N representations is extended
+with one dropout-altered view per element (labels preserved) so every row has
+at least one same-label partner; the per-row loss is then
 
     L_i = -1/|P(i)| * sum_{p in P(i)} log( exp(sim(h_i,h_p)/tau)
                                            / sum_{b in B(i)} exp(sim(h_i,h_b)/tau) )
@@ -34,14 +37,10 @@ from .core import read_utf8, split_lines
 
 __all__ = [
     "SclConfig",
-    "ProjectionHead",
     "ReprBatch",
-    "pool",
-    "project",
     "extend_batch",
     "scl_loss",
     "reference_scl_loss",
-    "total_loss",
     "grad_check",
     "parse_scl_config",
     "load_scl_config",
@@ -53,7 +52,9 @@ class SclConfig:
     """Hyperparameters of the contrastive objective.
 
     ``alpha`` weights the three characteristic losses (sentiment, aspect,
-    opinion) in the combined objective; a single float applies to all three.
+    opinion) against the seq2seq cross-entropy; a single float applies to all
+    three. ``toy_demo``, which has no cross-entropy term, scales each
+    characteristic's gradient step by its weight.
     """
 
     tau: float = 0.25
@@ -79,41 +80,6 @@ class SclConfig:
 
 
 @dataclass(frozen=True)
-class ProjectionHead:
-    """Affine map generating one characteristic representation: W v + b."""
-
-    weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
-
-    def __post_init__(self) -> None:
-        weight = np.asarray(self.weight, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
-        if weight.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
-            raise ValueError(
-                f"head shapes disagree: weight {weight.shape}, bias {bias.shape}"
-            )
-        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
-            raise ValueError("head parameters must be finite")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "bias", bias)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @classmethod
-    def random(
-        cls, in_dim: int = 1024, out_dim: int = 1024, *, rng: np.random.Generator
-    ) -> "ProjectionHead":
-        weight = rng.standard_normal((out_dim, in_dim)) / math.sqrt(in_dim)
-        return cls(weight=weight, bias=np.zeros(out_dim))
-
-
-@dataclass(frozen=True)
 class ReprBatch:
     """Extended batch: representation rows and their labels; rows sharing a label are positives."""
 
@@ -135,24 +101,6 @@ class ReprBatch:
     @property
     def num_rows(self) -> int:
         return self.reps.shape[0]
-
-
-def pool(hidden: np.ndarray) -> np.ndarray:
-    """Mean-pool per-token encoder states (seq_len, dim) into one vector."""
-    h = np.asarray(hidden, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (seq_len, dim) matrix, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("hidden states must be finite")
-    return h.mean(axis=0)
-
-
-def project(v: np.ndarray, head: ProjectionHead) -> np.ndarray:
-    """Apply a projection head to one pooled vector or a (rows, in_dim) matrix of them."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[-1] != head.in_dim:
-        raise ValueError(f"input shape {v.shape} does not match head input dim {head.in_dim}")
-    return v @ head.weight.T + head.bias
 
 
 def _extend_with_mask(
@@ -299,15 +247,6 @@ def reference_scl_loss(batch: ReprBatch, tau: float) -> float:
     return sum(losses) / rows
 
 
-def total_loss(ce: float, scl_sent: float, scl_asp: float, scl_op: float, cfg: SclConfig) -> float:
-    """Combined objective: cross-entropy plus weighted characteristic losses."""
-    parts = (ce, scl_sent, scl_asp, scl_op)
-    if any(not math.isfinite(p) for p in parts):
-        raise ValueError(f"loss terms must be finite, got {parts!r}")
-    a1, a2, a3 = cfg.alpha
-    return ce + a1 * scl_sent + a2 * scl_asp + a3 * scl_op
-
-
 def grad_check(
     batch: ReprBatch,
     tau: float,
@@ -354,7 +293,10 @@ def grad_check(
     return max_err
 
 
-_CONFIG_KEYS = ("tau", "alpha", "alpha1", "alpha2", "alpha3", "dropout", "seed")
+# Each config key and the type its value converts to.
+_CONFIG_KEYS = dict(
+    tau=float, alpha=float, alpha1=float, alpha2=float, alpha3=float, dropout=float, seed=int
+)
 
 
 def parse_scl_config(text: str, *, source: str = "<string>") -> SclConfig:
@@ -362,9 +304,10 @@ def parse_scl_config(text: str, *, source: str = "<string>") -> SclConfig:
 
     Recognized keys: tau, alpha (sets all three weights), alpha1/2/3,
     dropout, seed. Blank lines and ``#`` comments are ignored;
-    values not present keep the SclConfig defaults.
+    values not present keep the SclConfig defaults. Errors start with
+    ``<source>:<line>:``, or ``<source>:`` for a value out of range.
     """
-    values: dict[str, str] = {}
+    values: dict[str, float | int] = {}
     for line_no, raw_line in enumerate(split_lines(text), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -374,18 +317,24 @@ def parse_scl_config(text: str, *, source: str = "<string>") -> SclConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{source}:{line_no}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{source}:{line_no}: {key}: {exc}") from None
 
-    alpha = [float(values.get("alpha", a)) for a in SclConfig.alpha]
+    alpha = [values.get("alpha", a) for a in SclConfig.alpha]
     for idx, key in enumerate(("alpha1", "alpha2", "alpha3")):
         if key in values:
-            alpha[idx] = float(values[key])
-    return SclConfig(
-        tau=float(values.get("tau", SclConfig.tau)),
-        alpha=tuple(alpha),
-        dropout_p=float(values.get("dropout", SclConfig.dropout_p)),
-        rng_seed=int(values.get("seed", SclConfig.rng_seed)),
-    )
+            alpha[idx] = values[key]
+    try:
+        return SclConfig(
+            tau=values.get("tau", SclConfig.tau),
+            alpha=tuple(alpha),
+            dropout_p=values.get("dropout", SclConfig.dropout_p),
+            rng_seed=values.get("seed", SclConfig.rng_seed),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_scl_config(path: str | Path) -> SclConfig:

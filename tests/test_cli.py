@@ -256,6 +256,30 @@ class TestSclDemo:
         assert json.loads(out)["steps"] == 3
 
 
+@pytest.mark.filterwarnings("ignore:only one")
+def test_every_json_command_prints_strict_json(capsys, mini_dataset_file, tmp_path):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    # One example per sentiment label: the demo's intra-label means are undefined.
+    two = tmp_path / "two.tsv"
+    two.write_text("a b c d\t0,1 C0 2 1,2\ne f g h\t0,1 C0 0 1,2\n", encoding="utf-8")
+    preds = tmp_path / "preds.txt"
+    preds.write_text("garbage\n\n\n", encoding="utf-8")
+    dataset = str(mini_dataset_file)
+    commands = [
+        ("stats", "--dataset", dataset),
+        ("stats", "--dataset", str(two)),
+        ("evaluate", "--dataset", dataset, "--predictions", str(preds)),
+        ("scl-demo", "--synthetic", "20", "--steps", "2"),
+        ("scl-demo", "--dataset", str(two), "--steps", "2"),
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        json.loads(out, parse_constant=reject)
+
+
 class TestSclConfigPlumbing:
     def test_scl_config_file_and_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,19 @@ class TestToyDemo:
         assert "sentiment" in result.skipped
         assert "aspect" in result.stats
 
+    def test_undefined_statistics_are_null_in_dict(self):
+        # One example per sentiment: no same-label pair, so the intra mean is NaN.
+        lines = ["a b c d\t0,1 C0 2 1,2", "e f g h\t0,1 C0 0 1,2"]
+        corpus = [example_from_line(line, f"n{i}") for i, line in enumerate(lines)]
+        with pytest.warns(UserWarning):
+            result = toy_demo(corpus, SclConfig(rng_seed=0), steps=2)
+        assert math.isnan(result.stats["sentiment"].intra_before)
+        row = result.to_dict()["characteristics"]["sentiment"]
+        for key in ("intra_before", "gap_before", "intra_after", "gap_after"):
+            assert row[key] is None, key
+        assert math.isfinite(row["inter_before"]) and math.isfinite(row["loss_last"])
+        assert "nan" in result.to_text()
+
     def test_rejects_bad_args(self, small_corpus):
         with pytest.raises(ValueError):
             toy_demo([], SclConfig(), steps=1)
@@ -90,3 +105,13 @@ class TestExport:
         assert first[1] == "sentiment"
         assert len(first) == 3 + HEAD_DIM
         float(first[3])
+
+    def test_no_trained_characteristic_writes_empty_file(self, tmp_path):
+        lines = ["a b c d\t0,1 C0 2 1,2", "e f g h\t0,1 C1 2 1,2"]
+        corpus = [example_from_line(line, f"s{i}") for i, line in enumerate(lines)]
+        with pytest.warns(UserWarning):
+            result = toy_demo(corpus, SclConfig(rng_seed=0), steps=2)
+        assert set(result.skipped) == {"sentiment", "aspect", "opinion"}
+        path = tmp_path / "reps.tsv"
+        export_representations(result, path)
+        assert path.read_bytes() == b""

@@ -9,18 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acosgen.scl import (
-    ProjectionHead,
     ReprBatch,
     SclConfig,
     extend_batch,
     grad_check,
     load_scl_config,
     parse_scl_config,
-    pool,
-    project,
     reference_scl_loss,
     scl_loss,
-    total_loss,
 )
 from acosgen.verify import (
     ORACLE_TOLERANCE,
@@ -29,67 +25,6 @@ from acosgen.verify import (
     random_batch,
     save_failure,
 )
-
-
-class TestPool:
-    def test_single_row_unchanged(self):
-        row = np.array([[3.0, -1.0, 2.5]])
-        assert np.array_equal(pool(row), row[0])
-
-    def test_two_unit_rows(self):
-        h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(pool(h), np.array([0.5, 0.5]))
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal((5, 8))
-        naive = np.array([sum(h[i, j] for i in range(5)) / 5 for j in range(8)])
-        assert np.allclose(pool(h), naive, rtol=0, atol=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            pool(np.zeros((0, 4)))
-
-
-class TestProject:
-    def test_identity(self):
-        head = ProjectionHead(weight=np.eye(3), bias=np.zeros(3))
-        v = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(project(v, head), v)
-
-    def test_zero_weight_gives_bias(self):
-        head = ProjectionHead(weight=np.zeros((2, 3)), bias=np.array([5.0, -1.0]))
-        assert np.array_equal(project(np.ones(3), head), np.array([5.0, -1.0]))
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(1)
-        w = rng.standard_normal((4, 6))
-        b = rng.standard_normal(4)
-        v = rng.standard_normal(6)
-        head = ProjectionHead(weight=w, bias=b)
-        naive = np.array([sum(w[i, j] * v[j] for j in range(6)) + b[i] for i in range(4)])
-        assert np.allclose(project(v, head), naive, rtol=0, atol=1e-12)
-
-    def test_matrix_matches_rows(self):
-        rng = np.random.default_rng(2)
-        head = ProjectionHead(weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4))
-        vs = rng.standard_normal((5, 6))
-        rows = np.stack([project(v, head) for v in vs])
-        assert project(vs, head).shape == (5, 4)
-        assert np.allclose(project(vs, head), rows, rtol=0, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        head = ProjectionHead(weight=np.eye(3), bias=np.zeros(3))
-        with pytest.raises(ValueError):
-            project(np.ones(4), head)
-        with pytest.raises(ValueError):
-            project(np.ones((2, 4)), head)
-        with pytest.raises(ValueError):
-            project(np.ones((2, 2, 3)), head)
-
-    def test_default_dims_1024(self):
-        head = ProjectionHead.random(rng=np.random.default_rng(0))
-        assert head.in_dim == head.out_dim == 1024
 
 
 class TestExtendBatch:
@@ -401,29 +336,6 @@ class TestGradCheck:
             grad_check(batch, 0.25, 0.0)
 
 
-class TestTotalLoss:
-    def test_alpha_zero_is_ce(self):
-        cfg = SclConfig(alpha=(0.0, 0.0, 0.0))
-        assert total_loss(3.5, 9.0, 9.0, 9.0, cfg) == 3.5
-
-    def test_arithmetic(self):
-        cfg = SclConfig(alpha=0.05)
-        assert total_loss(1.0, 2.0, 2.0, 2.0, cfg) == pytest.approx(1.3)
-
-    def test_matches_recomputation(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            ce, s1, s2, s3 = rng.standard_normal(4)
-            a1, a2, a3 = rng.uniform(0, 1, 3)
-            cfg = SclConfig(alpha=(a1, a2, a3))
-            expected = ce + a1 * s1 + a2 * s2 + a3 * s3
-            assert total_loss(ce, s1, s2, s3, cfg) == pytest.approx(expected, rel=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss(float("nan"), 0.0, 0.0, 0.0, SclConfig())
-
-
 class TestConfig:
     def test_defaults(self):
         cfg = SclConfig()
@@ -460,6 +372,24 @@ class TestConfig:
     def test_pooling_key_rejected(self):
         with pytest.raises(ValueError, match=r"^<string>:2: unknown key 'pooling'$"):
             parse_scl_config("tau=0.5\npooling=mean\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tau=abc\n", r"^c\.cfg:1: tau: could not convert string to float: 'abc'$"),
+            ("# seed\n\nseed=1.5\n", r"^c\.cfg:3: seed: invalid literal for int"),
+            ("tau=0.5\nalpha1=x\n", r"^c\.cfg:2: alpha1: could not convert"),
+        ],
+    )
+    def test_bad_value_names_file_and_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_scl_config(text, source="c.cfg")
+
+    def test_range_error_names_file(self):
+        with pytest.raises(ValueError, match=r"^c\.cfg: tau must be positive and finite"):
+            parse_scl_config("tau=-1\n", source="c.cfg")
+        with pytest.raises(ValueError, match=r"^c\.cfg: dropout_p must be in"):
+            parse_scl_config("dropout=1.5\n", source="c.cfg")
 
     def test_shipped_defaults(self):
         from acosgen.configs import default_scl_config
