@@ -19,11 +19,12 @@ Spans index into the whitespace-tokenized sentence, end-exclusive; the
 sentinel "-1,-1" marks an implicit term; sentiment codes are
 0=negative, 1=neutral, 2=positive.
 
-The loader parses each distinct span string and sentiment code once (a
-bounded memo), so loaded examples share immutable :class:`Span` instances.
-It bounds-checks every span, resolves every term text and drops duplicate
-quadruples itself, then builds each :class:`Example` without repeating those
-checks; directly constructed examples are checked in full.
+The loader takes only canonical span and sentiment strings, so it drops duplicate
+quadruples on their raw whitespace-split fields before parsing. Every quad is built
+by the one checked :class:`Quadruple` constructor; distinct span strings and
+sentiment codes are parsed once (a bounded memo). The loader bounds-checks spans and
+resolves term texts, so it builds each :class:`Example` unchecked; directly
+constructed examples are checked in full.
 """
 
 from __future__ import annotations
@@ -68,21 +69,22 @@ def check_reserved(text: str, what: str) -> None:
 
 
 class _Implicit:
-    """Distinguished marker for an implicit aspect/opinion (no text span)."""
+    """Marker for an implicit aspect/opinion (no text span). Calling, pickling and copying
+    return the one instance ``IMPLICIT``, so ``is IMPLICIT`` tests explicitness."""
 
     __slots__ = ()
+
+    def __new__(cls) -> "_Implicit":
+        return IMPLICIT
+
+    def __reduce__(self) -> str:
+        return "IMPLICIT"
 
     def __repr__(self) -> str:
         return "IMPLICIT"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Implicit)
 
-    def __hash__(self) -> int:
-        return hash(_Implicit)
-
-
-IMPLICIT = _Implicit()
+IMPLICIT = object.__new__(_Implicit)
 
 
 class SentimentPolarity(IntEnum):
@@ -101,7 +103,7 @@ class SentimentPolarity(IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Token span [start, end) into the owning sentence's token list."""
 
@@ -114,7 +116,10 @@ class Span:
 
 
 class QuadType(Enum):
-    """Quadruple class by explicit/implicit aspect (first) and opinion (second)."""
+    """Quadruple class by explicit/implicit aspect (first) and opinion (second).
+
+    A class's index in member order is 1·(aspect implicit) + 2·(opinion implicit).
+    """
 
     EAEO = "EAEO"
     IAEO = "IAEO"
@@ -125,7 +130,10 @@ class QuadType(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+_QUAD_TYPES = tuple(QuadType)
+
+
+@dataclass(frozen=True, slots=True)
 class Quadruple:
     """One (aspect, category, opinion, sentiment) annotation.
 
@@ -145,20 +153,23 @@ class Quadruple:
     def __post_init__(self) -> None:
         if not self.category:
             raise ValueError("category must be non-empty")
-        if isinstance(self.aspect_span, _Implicit) != (self.aspect_text == ""):
+        aspect, opinion = self.aspect_text, self.opinion_text
+        if (self.aspect_span is IMPLICIT) != (aspect == ""):
             raise ValueError("aspect text must be empty iff the aspect is implicit")
-        if isinstance(self.opinion_span, _Implicit) != (self.opinion_text == ""):
+        if (self.opinion_span is IMPLICIT) != (opinion == ""):
             raise ValueError("opinion text must be empty iff the opinion is implicit")
-        check_reserved(self.aspect_text, "aspect term")
-        check_reserved(self.opinion_text, "opinion term")
+        if FIELD_SEPARATOR in aspect or QUAD_SEPARATOR in aspect:  # check_reserved on a hit only
+            check_reserved(aspect, "aspect term")
+        if FIELD_SEPARATOR in opinion or QUAD_SEPARATOR in opinion:
+            check_reserved(opinion, "opinion term")
 
     @property
     def aspect_explicit(self) -> bool:
-        return isinstance(self.aspect_span, Span)
+        return self.aspect_span is not IMPLICIT
 
     @property
     def opinion_explicit(self) -> bool:
-        return isinstance(self.opinion_span, Span)
+        return self.opinion_span is not IMPLICIT
 
     def match_key(self) -> tuple:
         """Surface-level identity used for exact-match evaluation.
@@ -166,16 +177,14 @@ class Quadruple:
         Spans are deliberately excluded: parsed predictions carry no token
         indices, so gold and predicted quads compare on resolved text.
         """
-        aspect = self.aspect_text if self.aspect_explicit else IMPLICIT
-        opinion = self.opinion_text if self.opinion_explicit else IMPLICIT
-        return (aspect, self.category, opinion, self.sentiment)
+        # A term's text is empty exactly when it is implicit.
+        return (self.aspect_text or IMPLICIT, self.category, self.opinion_text or IMPLICIT,
+                self.sentiment)
 
 
 def quad_type(q: Quadruple) -> QuadType:
     """Classify a quadruple by aspect/opinion explicitness."""
-    if q.aspect_explicit:
-        return QuadType.EAEO if q.opinion_explicit else QuadType.EAIO
-    return QuadType.IAEO if q.opinion_explicit else QuadType.IAIO
+    return _QUAD_TYPES[(q.aspect_span is IMPLICIT) + 2 * (q.opinion_span is IMPLICIT)]
 
 
 def _quad_key(q: Quadruple) -> tuple:
@@ -226,7 +235,7 @@ class Example:
                 (q.aspect_span, q.aspect_text, "aspect"),
                 (q.opinion_span, q.opinion_text, "opinion"),
             ):
-                if isinstance(span, Span):
+                if span is not IMPLICIT:
                     if span.end > len(self.tokens):
                         raise ValueError(
                             f"{what} span ({span.start},{span.end}) out of bounds for "
@@ -358,33 +367,28 @@ def _parse_sentiment(code_raw: str) -> SentimentPolarity:
         raise ValueError(f"unknown sentiment code {code!r} (expected 0, 1 or 2)") from None
 
 
-def _parse_quad_field(field: str, tokens: Sequence[str]) -> Quadruple:
-    parts = field.split()
+def _span_text(span: Span | _Implicit, tokens: Sequence[str], what: str) -> str:
+    """The tokens ``span`` covers joined by spaces, "" if implicit; ValueError past the end."""
+    if span is IMPLICIT:
+        return ""
+    if span.end > len(tokens):
+        raise ValueError(
+            f"{what} span ({span.start},{span.end}) out of bounds for {len(tokens)} tokens"
+        )
+    return " ".join(tokens[span.start : span.end])
+
+
+def _parse_quad_field(parts: tuple[str, ...], field: str, tokens: Sequence[str]) -> Quadruple:
+    """The quad of a field split into ``parts``; errors in field order, as ValueError."""
     if len(parts) != 4:
         raise ValueError(f"malformed quadruple field {field!r} (expected 4 space-separated parts)")
     aspect_raw, category, code_raw, opinion_raw = parts
     sentiment = _parse_sentiment(code_raw)
-
-    def resolve(span_field: str, what: str) -> tuple[Span | _Implicit, str]:
-        span = _parse_span(span_field)
-        if isinstance(span, _Implicit):
-            return span, ""
-        if span.end > len(tokens):
-            raise ValueError(
-                f"{what} span ({span.start},{span.end}) out of bounds for {len(tokens)} tokens"
-            )
-        return span, " ".join(tokens[span.start : span.end])
-
-    aspect_span, aspect_text = resolve(aspect_raw, "aspect")
-    opinion_span, opinion_text = resolve(opinion_raw, "opinion")
-    return Quadruple(
-        aspect_span=aspect_span,
-        aspect_text=aspect_text,
-        category=category,
-        opinion_span=opinion_span,
-        opinion_text=opinion_text,
-        sentiment=sentiment,
-    )
+    aspect_span = _parse_span(aspect_raw)
+    aspect_text = _span_text(aspect_span, tokens, "aspect")
+    opinion_span = _parse_span(opinion_raw)
+    opinion_text = _span_text(opinion_span, tokens, "opinion")
+    return Quadruple(aspect_span, aspect_text, category, opinion_span, opinion_text, sentiment)
 
 
 def parse_dataset_text(
@@ -396,25 +400,25 @@ def parse_dataset_text(
     for line_no, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             raise DatasetError("blank line", path=path, line=line_no)
-        fields = line.split("\t")
-        sentence = fields[0]
-        quad_fields = [f for f in fields[1:] if f.strip()]
-        if not quad_fields:
-            raise DatasetError("no quadruples", path=path, line=line_no)
+        sentence, *quad_fields = line.split("\t")
         tokens = tuple(sentence.split())
         quads: list[Quadruple] = []
-        seen: set[tuple] = set()
+        # Spellings are canonical (see module docstring): equal parts iff equal _quad_key.
+        seen: set[tuple[str, ...]] = set()
         for field in quad_fields:
-            try:
-                quad = _parse_quad_field(field, tokens)
-            except ValueError as exc:
-                raise DatasetError(str(exc), path=path, line=line_no) from None
-            key = _quad_key(quad)
-            if key in seen:
+            parts = tuple(field.split())
+            if not parts:  # a blank field
+                continue
+            if parts in seen:
                 duplicates += 1
                 continue
-            seen.add(key)
-            quads.append(quad)
+            seen.add(parts)
+            try:
+                quads.append(_parse_quad_field(parts, field, tokens))
+            except ValueError as exc:
+                raise DatasetError(str(exc), path=path, line=line_no) from None
+        if not quads:
+            raise DatasetError("no quadruples", path=path, line=line_no)
         # Every span was bounds-checked and resolved against ``tokens`` above.
         examples.append(
             Example._unchecked(f"{id_prefix}-{line_no:04d}", sentence, tokens, tuple(quads))
@@ -427,8 +431,8 @@ def parse_dataset_text(
     return examples
 
 
-def load_dataset(path: str | Path, split: str = "") -> list[Example]:
-    """Load a dataset TSV file. ``split`` (train/dev/test) prefixes example ids."""
+def load_dataset(path: str | Path) -> list[Example]:
+    """Load a dataset TSV file; example ids are ``<file stem>-<line number>``."""
     path = Path(path)
     try:
         text = read_utf8(path)
@@ -436,12 +440,11 @@ def load_dataset(path: str | Path, split: str = "") -> list[Example]:
         raise DatasetError(f"no such file: {path}") from None
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
-    prefix = split if split else path.stem
-    return parse_dataset_text(text, id_prefix=prefix, path=str(path))
+    return parse_dataset_text(text, id_prefix=path.stem, path=str(path))
 
 
 def _format_span(span: Span | _Implicit) -> str:
-    if isinstance(span, _Implicit):
+    if span is IMPLICIT:
         return "-1,-1"
     return f"{span.start},{span.end}"
 

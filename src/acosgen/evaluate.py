@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
-from .core import Example, QuadType, quad_type
+from .core import IMPLICIT, Example, QuadType, quad_type
 
 __all__ = ["SplitScore", "MatchCounts", "EvalReport", "DatasetStats", "score", "dataset_stats"]
 
@@ -102,27 +103,24 @@ def score(preds: Sequence[Iterable], golds: Sequence[Example]) -> EvalReport:
     if len(preds) != len(golds):
         raise ValueError(f"got {len(preds)} predictions for {len(golds)} gold examples")
 
-    per_example: list[tuple[int, int, int]] = []
-    example_types: list[set[QuadType]] = []
+    # Predicted, gold and matched quads and examples: overall, and per split in QuadType
+    # order, where a gold quad's split is its QuadType index (see QuadType).
+    totals = [0, 0, 0, 0]
+    splits = [[0, 0, 0, 0] for _ in QuadType]
     for pred, gold in zip(preds, golds):
         pred_keys = {_key(q) for q in pred}
         gold_keys = {q.match_key() for q in gold.quads}
-        per_example.append((len(pred_keys), len(gold_keys), len(pred_keys & gold_keys)))
-        example_types.append({quad_type(q) for q in gold.quads})
+        counts = (len(pred_keys), len(gold_keys), len(pred_keys & gold_keys), 1)
+        types = {(q.aspect_span is IMPLICIT) + 2 * (q.opinion_span is IMPLICIT) for q in gold.quads}
+        for row in (totals, *(splits[t] for t in types)):
+            row[:] = map(add, row, counts)
 
-    num_pred = sum(p for p, _, _ in per_example)
-    num_gold = sum(g for _, g, _ in per_example)
-    matched = sum(m for _, _, m in per_example)
+    num_pred, num_gold, matched, _ = totals
     precision, recall, f1 = _prf(matched, num_pred, num_gold)
-
-    per_split: dict[QuadType, SplitScore] = {}
-    for t in QuadType:
-        members = [i for i, types in enumerate(example_types) if t in types]
-        sp = sum(per_example[i][0] for i in members)
-        sg = sum(per_example[i][1] for i in members)
-        sm = sum(per_example[i][2] for i in members)
+    per_split = {}
+    for t, (sp, sg, sm, examples) in zip(QuadType, splits):
         p, r, f = _prf(sm, sp, sg)
-        per_split[t] = SplitScore(precision=p, recall=r, f1=f, num_examples=len(members))
+        per_split[t] = SplitScore(precision=p, recall=r, f1=f, num_examples=examples)
 
     return EvalReport(
         precision=precision,

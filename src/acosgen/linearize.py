@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .core import (
-    QUAD_SEPARATOR, Example, Quadruple, SentimentPolarity, Span, check_reserved, read_utf8,
+    IMPLICIT, QUAD_SEPARATOR, Example, Quadruple, SentimentPolarity, check_reserved, read_utf8,
     split_lines,
 )
 
@@ -39,6 +39,7 @@ __all__ = [
 
 SSEP_JOINER = f" {QUAD_SEPARATOR} "
 
+GEN_NAT_SENTIMENT = {p: p.word for p in SentimentPolarity}
 PARAPHRASE_SENTIMENT = {
     SentimentPolarity.POSITIVE: "great",
     SentimentPolarity.NEUTRAL: "okay",
@@ -154,11 +155,12 @@ def linearize_quad(q: Quadruple, style: FormatStyle, category_map: CategoryMap) 
     Both styles reject a category label the map does not know.
     """
     description = category_map.natural(q.category)
-    aspect = q.aspect_text if q.aspect_explicit else IMPLICIT_ASPECT_WORD
-    opinion = q.opinion_text if q.opinion_explicit else IMPLICIT_OPINION_WORD
+    # A term's text is empty exactly when it is implicit.
+    aspect = q.aspect_text or IMPLICIT_ASPECT_WORD
+    opinion = q.opinion_text or IMPLICIT_OPINION_WORD
     if style is FormatStyle.GEN_NAT:
-        aspect_part = f"the {aspect}" if q.aspect_explicit else aspect
-        return f"{description} | {aspect_part} is {opinion} | {q.sentiment.word}"
+        aspect_part = f"the {aspect}" if q.aspect_text else aspect
+        return f"{description} | {aspect_part} is {opinion} | {GEN_NAT_SENTIMENT[q.sentiment]}"
     if style is FormatStyle.PARAPHRASE:
         return f"{q.category} is {PARAPHRASE_SENTIMENT[q.sentiment]} because {aspect} is {opinion}"
     raise ValueError(f"unknown format style {style!r}")
@@ -172,16 +174,12 @@ def _scan_key(q: Quadruple) -> tuple:
     then sentiment. Remaining components make the key total so the order is
     independent of input permutation.
     """
-
-    def coords(span) -> tuple[int, int]:
-        return (span.start, span.end) if isinstance(span, Span) else (-1, -1)
-
-    a_start, a_end = coords(q.aspect_span)
-    o_start, o_end = coords(q.opinion_span)
-    explicit_ends = [e for e in (a_end, o_end) if e >= 0]
-    if explicit_ends:
-        return (0, max(explicit_ends), a_start, o_start, a_end, o_end, q.category, int(q.sentiment))
-    return (1, 0, -1, -1, -1, -1, q.category, int(q.sentiment))
+    a, o = q.aspect_span, q.opinion_span
+    a_start, a_end = (-1, -1) if a is IMPLICIT else (a.start, a.end)
+    o_start, o_end = (-1, -1) if o is IMPLICIT else (o.start, o.end)
+    if a_end < 0 and o_end < 0:
+        return (1, 0, -1, -1, -1, -1, q.category, int(q.sentiment))
+    return (0, max(a_end, o_end), a_start, o_start, a_end, o_end, q.category, int(q.sentiment))
 
 
 def order_quads(x: Example) -> list[Quadruple]:

@@ -25,6 +25,7 @@ from .core import IMPLICIT, QUAD_SEPARATOR, SentimentPolarity, _Implicit, read_u
 from .linearize import (
     CategoryMap,
     FormatStyle,
+    GEN_NAT_SENTIMENT,
     IMPLICIT_ASPECT_WORD,
     IMPLICIT_OPINION_WORD,
     PARAPHRASE_SENTIMENT,
@@ -32,11 +33,11 @@ from .linearize import (
 
 __all__ = ["PredictedQuad", "ParseOutcome", "parse_output", "read_predictions"]
 
-_SENTIMENT_BY_WORD = {p.word: p for p in SentimentPolarity}
+_SENTIMENT_BY_WORD = {w: p for p, w in GEN_NAT_SENTIMENT.items()}
 _SENTIMENT_BY_PARAPHRASE = {w: p for p, w in PARAPHRASE_SENTIMENT.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictedQuad:
     """A quadruple recovered from generated text (no token spans)."""
 

@@ -70,7 +70,7 @@ def published_examples(dataset: str):
         return None
     examples = []
     for path in paths:
-        examples.extend(load_dataset(path, split=path.stem))
+        examples.extend(load_dataset(path))
     return examples
 
 

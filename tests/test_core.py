@@ -1,5 +1,8 @@
+import copy
+import pickle
 import re
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from acosgen.core import (
     Quadruple,
     SentimentPolarity,
     Span,
+    _quad_key,
     characteristic_labels,
     load_dataset,
     parse_dataset_text,
@@ -20,6 +24,7 @@ from acosgen.core import (
     serialize_dataset,
     split_lines,
 )
+from acosgen.parse import PredictedQuad
 
 from conftest import MINI_DATASET, example_from_line
 
@@ -85,9 +90,9 @@ class TestLoading:
             parse_dataset_text("a | b\t1,2 C 2 -1,-1\n")
 
     def test_crlf_accepted(self, tmp_path):
-        path = tmp_path / "crlf.tsv"
+        path = tmp_path / "test.tsv"
         path.write_bytes(MINI_DATASET.replace("\n", "\r\n").encode("utf-8"))
-        examples = load_dataset(path, split="test")
+        examples = load_dataset(path)
         assert len(examples) == 3
         assert examples[0].id == "test-0001"
 
@@ -281,6 +286,31 @@ def _fields_line(draw):
     return "\t".join([" ".join(words), *dict.fromkeys(fields)])
 
 
+@st.composite
+def _repeating_line(draw):
+    """A line whose quad fields repeat a few canonical ones, some copies with extra
+    spaces around or between their parts."""
+    n = draw(st.integers(1, 5))
+    words = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+
+    def span():
+        if draw(st.booleans()):
+            return "-1,-1"
+        start = draw(st.integers(0, n - 1))
+        return f"{start},{draw(st.integers(start + 1, n))}"
+
+    canonical = [
+        (span(), draw(st.sampled_from("CD")), str(draw(st.integers(0, 2))), span())
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    space = st.sampled_from([" ", " ", "  ", "   "])
+    fields = [
+        draw(st.sampled_from(["", " "])) + "".join(part + draw(space) for part in parts).rstrip()
+        for parts in draw(st.lists(st.sampled_from(canonical), min_size=1, max_size=8))
+    ]
+    return "\t".join([" ".join(words), *fields])
+
+
 class TestLoaderProperties:
     @settings(max_examples=400)
     @given(_fuzz_text)
@@ -310,6 +340,36 @@ class TestLoaderProperties:
             return
         assert serialize_dataset(loaded) == line + "\n"
 
+    @settings(max_examples=200)
+    @given(_repeating_line())
+    def test_raw_field_dedup_equals_dedup_under_quad_key(self, line):
+        sentence, *fields = line.split("\t")
+        expected: dict[tuple, Quadruple] = {}
+        for field in fields:
+            (single,) = parse_dataset_text(f"{sentence}\t{field}")
+            expected.setdefault(_quad_key(single.quads[0]), single.quads[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (x,) = parse_dataset_text(line)
+        assert x.quads == tuple(expected.values())
+        dropped = len(fields) - len(expected)
+        assert [str(w.message) for w in caught] == (
+            [f"dropped {dropped} duplicate quadruple(s) while loading dataset"] if dropped else []
+        )
+
+    @pytest.mark.parametrize("term, reserved", [("a|b", "|"), ("[SSEP]", "[SSEP]")])
+    def test_reserved_separator_in_term_keeps_error_and_line(self, term, reserved):
+        text = (
+            "x y\t0,1 C 2 1,2\t0,1  C 2 1,2\n"
+            f"x {term} y\t0,1 C 2 -1,-1\t0,1  C 2 -1,-1\t1,2 C 0 -1,-1\t1,2 C 2 2,3\n"
+        )
+        with pytest.raises(DatasetError) as exc:
+            parse_dataset_text(text, path="d.tsv")
+        assert str(exc.value) == (
+            f"d.tsv:2: aspect term {term!r} contains reserved separator {reserved!r}"
+        )
+        assert exc.value.line == 2
+
     def test_synthetic_corpus_round_trips(self, synth_corpus):
         loaded = parse_dataset_text(serialize_dataset(synth_corpus))
         assert [(x.text, x.tokens, x.quads) for x in loaded] == [
@@ -319,9 +379,9 @@ class TestLoaderProperties:
 
 class TestSerialization:
     def test_load_serialize_load_identity(self, tmp_path):
-        path = tmp_path / "d.tsv"
+        path = tmp_path / "t.tsv"
         path.write_text(MINI_DATASET, encoding="utf-8")
-        first = load_dataset(path, split="t")
+        first = load_dataset(path)
         text = serialize_dataset(first)
         second = parse_dataset_text(text, id_prefix="t")
         assert first == second
@@ -400,6 +460,38 @@ class TestTypes:
         assert IMPLICIT == IMPLICIT
         assert repr(IMPLICIT) == "IMPLICIT"
         assert hash(IMPLICIT) == hash(IMPLICIT)
+
+    def test_implicit_is_a_singleton(self):
+        assert type(IMPLICIT)() is IMPLICIT
+        assert copy.copy(IMPLICIT) is IMPLICIT
+        assert copy.deepcopy(IMPLICIT) is IMPLICIT
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(IMPLICIT, protocol)) is IMPLICIT
+
+    def test_implicit_quad_survives_pickle(self):
+        q = Quadruple(IMPLICIT, "", "C", Span(0, 1), "a", SentimentPolarity.NEUTRAL)
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and hash(back) == hash(q)
+        assert back.aspect_span is IMPLICIT
+        assert back.aspect_explicit is False and back.opinion_explicit is True
+        assert quad_type(back) is QuadType.IAEO
+
+    @pytest.mark.parametrize(
+        "value, field, other",
+        [
+            (Span(0, 2), "end", 3),
+            (Quadruple(Span(0, 1), "a", "C", IMPLICIT, "", SentimentPolarity.POSITIVE),
+             "category", "D"),
+            (PredictedQuad("a", "C", IMPLICIT, SentimentPolarity.NEGATIVE), "opinion", "b"),
+        ],
+    )
+    def test_value_types_are_slotted_frozen_values(self, value, field, other):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, other)
+        twin = replace(value)
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert replace(value, **{field: other}) != value
 
     def test_quadruple_text_span_consistency(self):
         with pytest.raises(ValueError, match="empty iff"):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from acosgen.core import IMPLICIT, QuadType, SentimentPolarity
-from acosgen.evaluate import dataset_stats, score
+from acosgen.core import IMPLICIT, QuadType, SentimentPolarity, quad_type
+from acosgen.evaluate import SplitScore, dataset_stats, score
 
 from conftest import example_from_line
 
@@ -70,6 +72,27 @@ def random_key_set(rng, max_quads):
         if k not in seen:
             seen.append(k)
     return seen
+
+
+_key = st.tuples(
+    st.sampled_from([IMPLICIT, "a0", "a1"]),
+    st.sampled_from(["C0", "C1"]),
+    st.sampled_from([IMPLICIT, "o0", "o1"]),
+    st.sampled_from(list(SentimentPolarity)),
+)
+
+
+@st.composite
+def _scored_corpus(draw):
+    """Gold examples of 1-4 quads of any type, and predictions that keep some gold
+    quads and add others."""
+    preds, golds = [], []
+    for i in range(draw(st.integers(4, 12))):
+        keys = draw(st.lists(_key, min_size=1, max_size=4, unique=True))
+        kept = [k for k in keys if draw(st.booleans())]
+        preds.append(list(dict.fromkeys(kept + draw(st.lists(_key, max_size=3)))))
+        golds.append(gold_example_for_keys(keys, i))
+    return preds, golds
 
 
 class TestScore:
@@ -165,6 +188,21 @@ class TestScore:
         assert report.per_split[QuadType.IAEO].num_examples == 0
         # splits overlap: totals exceed the number of examples
         assert sum(s.num_examples for s in report.per_split.values()) == 4
+
+    @settings(max_examples=100)
+    @given(_scored_corpus())
+    def test_per_split_equals_naive_membership(self, corpus):
+        preds, golds = corpus
+        types = [{quad_type(q) for q in x.quads} for x in golds]
+        assume(set().union(*types) == set(QuadType))
+        report = score(preds, golds)
+        for t in QuadType:
+            members = [i for i, ts in enumerate(types) if t in ts]
+            p, r, f1, _ = brute_force_prf(
+                [preds[i] for i in members],
+                [[q.match_key() for q in golds[i].quads] for i in members],
+            )
+            assert report.per_split[t] == SplitScore(p, r, f1, len(members))
 
     def test_split_restriction_counts_all_member_quads(self):
         examples = [example_from_line("a b c d\t0,1 C0 2 1,2\t-1,-1 C1 0 -1,-1", "s")]
