@@ -14,19 +14,24 @@ at least one same-label partner; the per-row loss is then
 with B(i) all other rows, P(i) its same-label subset, and sim = cosine
 similarity. The batch loss is the mean of L_i over the extended batch.
 
-Everything here is float64 and numerically stabilized (max-subtraction
-inside the log-sum-exp). ``scl_loss`` returns the analytic gradient with
-respect to every representation row; its cost is memory traffic over
+Everything here is float64. ``scl_loss`` is numerically stabilized
+(max-subtraction inside the log-sum-exp) and returns the analytic gradient
+with respect to every representation row; its cost is memory traffic over
 rows x rows arrays, so it keeps a single float buffer of that size and takes
 the positive logits and the positive-pair gradient from per-class sums.
-``reference_scl_loss`` is a deliberately naive double-summation of the same
-quantity, kept as an independent oracle, and ``grad_check`` verifies the
-gradient against central finite differences.
+``reference_scl_loss`` is a deliberately naive, unstabilized double
+summation of the same quantity, kept as an independent oracle. It takes each
+row's norm and each unordered pair's exp(sim/tau) once, so a batch costs
+rows + rows(rows-1)/2 dot products and rows(rows-1)/2 exponentials, and it
+accepts only temperatures at which those terms stay inside float64 (in
+practice tau above about 0.0027). ``grad_check`` verifies the gradient
+against central finite differences.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -214,35 +219,63 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     return loss, g
 
 
+def _check_oracle_tau(tau: float, rows: int) -> None:
+    """Reject a temperature at which the oracle's terms leave float64.
+
+    Each denominator is below rows * exp(1/tau) and each ratio under the log
+    above exp(-2/tau) / rows; the bounds are the largest float and the
+    smallest subnormal.
+    """
+    if not (tau > 0 and math.isfinite(tau)):
+        reason = "not positive and finite"
+    elif 1.0 / tau + math.log(rows) > math.log(sys.float_info.max):
+        reason = "rows * exp(1/tau) overflows"
+    elif 2.0 / tau + math.log(rows) > -math.log(sys.float_info.min * sys.float_info.epsilon):
+        reason = "exp(-2/tau) / rows underflows to 0"
+    else:
+        return
+    raise ValueError(f"tau {tau!r} at {rows} rows is outside the oracle's domain: {reason}")
+
+
 def reference_scl_loss(batch: ReprBatch, tau: float) -> float:
     """Direct double-summation of the per-row loss (independent oracle).
 
     Plain Python loops, unstabilized exponentials: intentionally shares no
-    code path with :func:`scl_loss`.
+    code path with :func:`scl_loss`. Each row's norm is taken once, and each
+    unordered pair's ``exp(cos/tau)`` once, so a batch costs rows +
+    rows(rows-1)/2 dot products and rows(rows-1)/2 exponentials. The values
+    are those of evaluating every term afresh: a dot product and a product
+    of norms do not depend on their order.
+
+    Every cosine lies in [-1, 1], so ``tau`` must be positive and finite,
+    rows * exp(1/tau) must not overflow and exp(-2/tau) / rows must not
+    underflow to 0, which in practice means tau above about 0.0027.
+    Otherwise one ``ValueError`` names tau and the row count.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     reps = [np.asarray(row, dtype=np.float64) for row in batch.reps]
     labels = list(batch.labels)
     rows = len(reps)
-
-    def cos(a: np.ndarray, b: np.ndarray) -> float:
-        na = math.sqrt(float(np.dot(a, a)))
-        nb = math.sqrt(float(np.dot(b, b)))
-        if na == 0.0 or nb == 0.0:
-            raise ValueError("zero-norm representation row")
-        return float(np.dot(a, b)) / (na * nb)
-
+    _check_oracle_tau(tau, rows)
+    norms = [math.sqrt(float(np.dot(a, a))) for a in reps]
+    # exps[i][b] = exp(cos(h_i, h_b) / tau). Row i fills its pairs with later
+    # rows, so a zero-norm row is reported while row 0 fills: after row 0's
+    # partner check, before any later row's.
+    exps = [[0.0] * rows for _ in range(rows)]
     losses = []
     for i in range(rows):
         others = [b for b in range(rows) if b != i]
         positives = [p for p in others if labels[p] == labels[i]]
         if not positives:
             raise ValueError(f"row {i} has no same-label partner in the batch")
-        denominator = sum(math.exp(cos(reps[i], reps[b]) / tau) for b in others)
+        for b in range(i + 1, rows):
+            if norms[i] == 0.0 or norms[b] == 0.0:
+                raise ValueError("zero-norm representation row")
+            cos = float(np.dot(reps[i], reps[b])) / (norms[i] * norms[b])
+            exps[i][b] = exps[b][i] = math.exp(cos / tau)
+        denominator = sum(exps[i][b] for b in others)
         total = 0.0
         for p in positives:
-            total += math.log(math.exp(cos(reps[i], reps[p]) / tau) / denominator)
+            total += math.log(exps[i][p] / denominator)
         losses.append(-total / len(positives))
     return sum(losses) / rows
 

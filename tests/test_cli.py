@@ -210,6 +210,14 @@ class TestSclCheck:
         assert code == 2
         assert "batches must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("tau", ["0.001", "0.0025"])
+    def test_tau_outside_oracle_domain_exit_2(self, capsys, tau):
+        # The oracle's exponentials overflow at 0.001; at 0.0025 a ratio underflows to 0.
+        code, _, err = run(capsys, "scl-check", "--tau", tau, "--grad-batches", "0")
+        assert code == 2
+        assert err.startswith(f"error: tau {tau} at ")
+        assert "outside the oracle's domain" in err
+
 
 class TestSclDemo:
     def test_json_report(self, capsys, tmp_path):

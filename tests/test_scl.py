@@ -272,6 +272,126 @@ class TestSclLoss:
             ReprBatch(reps=np.array([[1.0, np.inf], [0.0, 1.0]]), labels=["a", "a"])
 
 
+def double_summation(batch, tau):
+    """The defining double summation, every term evaluated afresh."""
+
+    def cos(a, b):
+        na, nb = math.sqrt(float(np.dot(a, a))), math.sqrt(float(np.dot(b, b)))
+        if na == 0.0 or nb == 0.0:
+            raise ValueError("zero-norm representation row")
+        return float(np.dot(a, b)) / (na * nb)
+
+    reps, labels, rows = list(batch.reps), list(batch.labels), batch.num_rows
+    losses = []
+    for i in range(rows):
+        others = [b for b in range(rows) if b != i]
+        positives = [p for p in others if labels[p] == labels[i]]
+        if not positives:
+            raise ValueError(f"row {i} has no same-label partner in the batch")
+        denominator = sum(math.exp(cos(reps[i], reps[b]) / tau) for b in others)
+        total = 0.0
+        for p in positives:
+            total += math.log(math.exp(cos(reps[i], reps[p]) / tau) / denominator)
+        losses.append(-total / len(positives))
+    return sum(losses) / rows
+
+
+@st.composite
+def oracle_batches(draw):
+    """2-24 rows of dim 2-16 with duplicated and antipodal rows, int or str labels."""
+    rows = draw(st.integers(2, 24))
+    dim = draw(st.integers(2, 16))
+    coord = st.one_of(st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0))
+    reps = [draw(st.lists(coord, min_size=dim, max_size=dim)) for _ in range(rows)]
+    for i in range(1, rows):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "antipodal"]))
+        if kind != "fresh":
+            j = draw(st.integers(0, i - 1))
+            reps[i] = [x if kind == "duplicate" else -x for x in reps[j]]
+    # Classes come in pairs (an odd last row joins the last pair), so every
+    # row has a same-label partner; the permutation spreads them out.
+    pairs = draw(st.lists(st.integers(0, 3), min_size=rows // 2, max_size=rows // 2))
+    order = draw(st.permutations(range(rows)))
+    label = draw(st.sampled_from([int, "c{}".format]))
+    labels = [label(pairs[min(k // 2, len(pairs) - 1)]) for k in order]
+    return ReprBatch(reps=np.array(reps), labels=labels)
+
+
+class TestReferenceOracle:
+    @settings(deadline=None)
+    @given(batch=oracle_batches(), tau=st.sampled_from([0.003, 0.01, 0.05, 0.25, 1.0]))
+    def test_equals_double_summation(self, batch, tau):
+        assert reference_scl_loss(batch, tau) == double_summation(batch, tau)
+
+    def test_each_norm_and_pair_exponential_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        batch = ReprBatch(reps=rng.standard_normal((16, 8)), labels=np.arange(16) % 4)
+        counts = {"dot": 0, "exp": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "dot", counting("dot", np.dot))
+        monkeypatch.setattr(math, "exp", counting("exp", math.exp))
+        reference_scl_loss(batch, 0.25)
+        assert counts == {"dot": 16 + 120, "exp": 120}
+
+    def test_missing_partner_of_row_0_precedes_zero_norm_row(self):
+        batch = ReprBatch(reps=[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], labels=["a", "b", "b"])
+        for oracle in (reference_scl_loss, double_summation):
+            with pytest.raises(ValueError) as exc:
+                oracle(batch, 0.25)
+            assert str(exc.value) == "row 0 has no same-label partner in the batch"
+
+    def test_zero_norm_row_precedes_missing_partner_of_row_3(self):
+        batch = ReprBatch(
+            reps=[[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]], labels=["a", "a", "a", "b"]
+        )
+        for oracle in (reference_scl_loss, double_summation):
+            with pytest.raises(ValueError) as exc:
+                oracle(batch, 0.25)
+            assert str(exc.value) == "zero-norm representation row"
+
+    # Row 0 is parallel to row 2 and antipodal to its partner, row 1.
+    ANTIPODAL = ReprBatch(reps=[[1.0, 0.0], [-1.0, 0.0]] * 2, labels=["a", "a", "b", "b"])
+
+    def test_overflowing_tau_rejected(self):
+        with pytest.raises(OverflowError, match="math range error"):
+            double_summation(self.ANTIPODAL, 0.001)
+        with pytest.raises(ValueError) as exc:
+            reference_scl_loss(self.ANTIPODAL, 0.001)
+        assert str(exc.value) == (
+            "tau 0.001 at 4 rows is outside the oracle's domain: rows * exp(1/tau) overflows"
+        )
+
+    def test_underflowing_tau_rejected(self):
+        with pytest.raises(ValueError, match="math domain error"):
+            double_summation(self.ANTIPODAL, 0.002)
+        with pytest.raises(ValueError) as exc:
+            reference_scl_loss(self.ANTIPODAL, 0.002)
+        assert str(exc.value) == (
+            "tau 0.002 at 4 rows is outside the oracle's domain: exp(-2/tau) / rows underflows to 0"
+        )
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tau_not_positive_and_finite_rejected(self, tau):
+        with pytest.raises(ValueError) as exc:
+            reference_scl_loss(self.ANTIPODAL, tau)
+        assert str(exc.value) == (
+            f"tau {tau!r} at 4 rows is outside the oracle's domain: not positive and finite"
+        )
+
+    def test_sharpest_tau_in_domain_matches_double_summation(self):
+        # Near the underflow bound the antipodal ratio is subnormal but not 0.
+        assert reference_scl_loss(self.ANTIPODAL, 0.0028) == double_summation(
+            self.ANTIPODAL, 0.0028
+        )
+
+
 class TestGradCheck:
     def test_random_batches_pass(self):
         rng = np.random.default_rng(7)
