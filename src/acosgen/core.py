@@ -182,9 +182,14 @@ class Quadruple:
                 self.sentiment)
 
 
+def _quad_type_index(q: Quadruple) -> int:
+    """Index of the quadruple's QuadType in member order (see QuadType)."""
+    return (q.aspect_span is IMPLICIT) + 2 * (q.opinion_span is IMPLICIT)
+
+
 def quad_type(q: Quadruple) -> QuadType:
     """Classify a quadruple by aspect/opinion explicitness."""
-    return _QUAD_TYPES[(q.aspect_span is IMPLICIT) + 2 * (q.opinion_span is IMPLICIT)]
+    return _QUAD_TYPES[_quad_type_index(q)]
 
 
 def _quad_key(q: Quadruple) -> tuple:
@@ -235,18 +240,15 @@ class Example:
                 (q.aspect_span, q.aspect_text, "aspect"),
                 (q.opinion_span, q.opinion_text, "opinion"),
             ):
-                if span is not IMPLICIT:
-                    if span.end > len(self.tokens):
-                        raise ValueError(
-                            f"{what} span ({span.start},{span.end}) out of bounds for "
-                            f"{len(self.tokens)} tokens in example {self.id!r}"
-                        )
-                    resolved = " ".join(self.tokens[span.start : span.end])
-                    if text != resolved:
-                        raise ValueError(
-                            f"{what} text {text!r} does not match span tokens {resolved!r} "
-                            f"in example {self.id!r}"
-                        )
+                try:
+                    resolved = _span_text(span, self.tokens, what)
+                except ValueError as exc:
+                    raise ValueError(f"{exc} in example {self.id!r}") from None
+                if text != resolved:
+                    raise ValueError(
+                        f"{what} text {text!r} does not match span tokens {resolved!r} "
+                        f"in example {self.id!r}"
+                    )
 
 
 @dataclass(frozen=True)

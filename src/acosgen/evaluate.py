@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
-from .core import IMPLICIT, Example, QuadType, quad_type
+from .core import Example, QuadType, _quad_type_index, quad_type
 
 __all__ = ["SplitScore", "MatchCounts", "EvalReport", "DatasetStats", "score", "dataset_stats"]
 
@@ -111,7 +111,7 @@ def score(preds: Sequence[Iterable], golds: Sequence[Example]) -> EvalReport:
         pred_keys = {_key(q) for q in pred}
         gold_keys = {q.match_key() for q in gold.quads}
         counts = (len(pred_keys), len(gold_keys), len(pred_keys & gold_keys), 1)
-        types = {(q.aspect_span is IMPLICIT) + 2 * (q.opinion_span is IMPLICIT) for q in gold.quads}
+        types = {_quad_type_index(q) for q in gold.quads}
         for row in (totals, *(splits[t] for t in types)):
             row[:] = map(add, row, counts)
 

@@ -25,7 +25,8 @@ row's norm and each unordered pair's exp(sim/tau) once, so a batch costs
 rows + rows(rows-1)/2 dot products and rows(rows-1)/2 exponentials, and it
 accepts only temperatures at which those terms stay inside float64 (in
 practice tau above about 0.0027). ``grad_check`` verifies the gradient
-against central finite differences.
+against central finite differences; it alone owns their step, tolerance and
+roundoff floor.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     with the one-hot class matrix that sums each row's positive logits, a
     ``-inf`` diagonal, one row max, one subtract, one exp, one row sum and
     one scale by the reciprocal sums, which leaves the softmax ``S`` over
-    B(i). Then the diagonal becomes ``1/|P(i)|`` and the two gradient GEMMs
-    read it. No rows x rows mask or division is made.
+    B(i), and the two gradient GEMMs read it. No rows x rows mask or
+    division is made.
 
     The positive sums cost rows^2 * K flops, K being the number of classes.
     Every caller has K <= 4 (``characteristic_labels`` yields at most four
@@ -153,14 +154,14 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     The positive logits are sums of the very buffer entries the log-sum-exp
     reads; the diagonal adds 0.0. In a two-row batch of one label each sum is
     ``0 + s = s``, so it cancels the log-sum-exp bit for bit and the loss is
-    0.0. With ``C_y`` the sum of the ``w`` rows of row ``i``'s label, the
-    gradient with respect to ``w_i`` is
+    0.0. With ``C_y`` the sum of the ``w`` rows of row ``i``'s label and
 
-        g_i = ((S w)_i + (S^T w)_i - 2 (C_y - w_i) / |P(i)|) / rows
+        g_i = ((S w)_i + (S^T w)_i - 2 C_y / |P(i)|) / rows,
 
-    and, the loss being invariant to each row's scale, the gradient with
-    respect to ``h_i`` is its tangent projection
-    ``(g_i - tau (w_i . g_i) w_i) / (sqrt(tau) |h_i|)``.
+    the loss being invariant to each row's scale, the gradient with respect
+    to ``h_i`` is the tangent projection
+    ``(g_i - tau (w_i . g_i) w_i) / (sqrt(tau) |h_i|)``. (The gradient with
+    respect to ``w_i`` has ``C_y - w_i``; the projection removes the ``w_i``.)
     Integer labels 0..K-1, each present, serve as class codes as they are;
     other labels, sparse integer codes included, are ranked with
     ``np.unique`` on every call. So K is always the number of distinct labels,
@@ -206,9 +207,6 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     loss = float((lse - pos_logits / pos_counts).mean())
 
     buf *= (1.0 / denom)[:, None]
-    # The softmax diagonal is 0; 1/|P(i)| there adds the +2 w_i / |P(i)| of
-    # the positive term through the two products below.
-    buf.flat[:: rows + 1] = 1.0 / pos_counts
     # No class has one member here (rejected above), so no division by zero.
     class_terms = (onehot @ w) * (2.0 / (class_sizes - 1))[:, None]
     g = buf @ w
@@ -280,46 +278,41 @@ def reference_scl_loss(batch: ReprBatch, tau: float) -> float:
     return sum(losses) / rows
 
 
+GRADIENT_STEP = 1e-5  # central-difference step
+GRADIENT_TOLERANCE = 1e-4  # largest relative error a correct gradient may show
+
+
 def grad_check(
     batch: ReprBatch,
     tau: float,
-    h_step: float = 1e-5,
     *,
-    floor: float = 1e-8,
     loss_fn: Callable[[ReprBatch, float], tuple[float, np.ndarray]] = scl_loss,
 ) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
-    Checks every coordinate, or a fixed random tenth of them (seed 0) when the
-    batch has more than 10,000. Relative error uses the denominator
-    max(|analytic|, |numeric|, ``floor``). ``loss_fn`` is the kernel under
-    test, :func:`scl_loss` by default.
+    Every coordinate is stepped by ``GRADIENT_STEP`` both ways. The error's
+    denominator is max(|analytic|, |numeric|, floor), the floor being where
+    the differences' roundoff, about eps * max(1, |loss|, 1/tau) / h, would
+    read as a tenth of ``GRADIENT_TOLERANCE`` (never below 1e-8): a smaller
+    derivative cannot be told from zero at this step. ``loss_fn`` is the
+    kernel under test, :func:`scl_loss` by default.
     """
-    if h_step <= 0:
-        raise ValueError("h_step must be positive")
-    _, grad = loss_fn(batch, tau)
-    rows, dim = batch.reps.shape
-    total = rows * dim
-    if total > 10_000:
-        rng = np.random.default_rng(0)
-        count = max(1, int(round(total * 0.1)))
-        flat = rng.choice(total, size=count, replace=False)
-        coords = [(int(k) // dim, int(k) % dim) for k in flat]
-    else:
-        coords = [(i, j) for i in range(rows) for j in range(dim)]
+    loss, grad = loss_fn(batch, tau)
+    roundoff = sys.float_info.epsilon * max(1.0, abs(loss), 1.0 / tau) / GRADIENT_STEP
+    floor = max(1e-8, 10.0 * roundoff / GRADIENT_TOLERANCE)
 
     # Validated once, then bumped in place and restored, so the probes skip
     # ReprBatch's per-construction checks and results match fresh copies.
     probe = replace(batch, reps=batch.reps.copy())
     max_err = 0.0
-    for i, j in coords:
+    for i, j in np.ndindex(*probe.reps.shape):
         original = probe.reps[i, j]
-        probe.reps[i, j] += h_step
+        probe.reps[i, j] += GRADIENT_STEP
         plus, _ = loss_fn(probe, tau)
-        probe.reps[i, j] -= 2 * h_step
+        probe.reps[i, j] -= 2 * GRADIENT_STEP
         minus, _ = loss_fn(probe, tau)
         probe.reps[i, j] = original
-        numeric = (plus - minus) / (2 * h_step)
+        numeric = (plus - minus) / (2 * GRADIENT_STEP)
         analytic = grad[i, j]
         err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), floor)
         max_err = max(max_err, err)

@@ -2,9 +2,10 @@
 
 Two independent routes guard the loss kernel: the vectorized implementation
 is compared against the naive double-summation oracle on random batches, and
-its analytic gradient is compared against central finite differences. Both
-suites are deterministic for a given seed; the first offending batch is
-serialized so a failure can be replayed.
+its analytic gradient against central finite differences through
+``scl.grad_check``, which owns the step, the tolerance and the roundoff
+floor. Both suites are deterministic for a given seed; the first offending
+batch is serialized so a failure can be replayed.
 """
 
 from __future__ import annotations
@@ -16,13 +17,19 @@ from typing import Callable
 
 import numpy as np
 
-from .scl import ReprBatch, SclConfig, extend_batch, grad_check, reference_scl_loss, scl_loss
+from .scl import (
+    GRADIENT_TOLERANCE,
+    ReprBatch,
+    SclConfig,
+    extend_batch,
+    grad_check,
+    reference_scl_loss,
+    scl_loss,
+)
 
 __all__ = ["VerificationResult", "random_batch", "oracle_suite", "gradient_suite", "save_failure"]
 
 ORACLE_TOLERANCE = 1e-9
-GRADIENT_TOLERANCE = 1e-4
-GRADIENT_STEP = 1e-5  # central-difference step of gradient_suite
 
 
 @dataclass
@@ -126,23 +133,12 @@ def gradient_suite(
 ) -> VerificationResult:
     """Check analytic gradients against central finite differences.
 
-    The relative-error denominator here is additionally floored at the level
-    where central-difference roundoff (eps * logit-scale / h) could itself
-    read as a tolerance-sized relative error; below that magnitude a
-    derivative is statistically indistinguishable from zero, so only larger
-    coordinates are judged relatively. Bugs live in the large coordinates
-    (a sign flip still reads as err ~ 2); the floor only stops roundoff on
-    saturated, near-zero coordinates from failing sharp-temperature runs.
-    :func:`acosgen.scl.grad_check` keeps the plain 1e-8-floored metric.
+    Each batch's error is :func:`acosgen.scl.grad_check`, judged against its
+    ``GRADIENT_TOLERANCE``; step and roundoff floor are grad_check's own.
     """
 
     def error(batch: ReprBatch) -> float:
-        loss, _ = loss_fn(batch, tau)
-        # Roundoff on a central difference of a quantity built from ~1/tau-sized
-        # log-sum-exp terms; safety factor 10.
-        sigma = np.finfo(np.float64).eps * max(1.0, abs(loss), 1.0 / tau) / GRADIENT_STEP
-        floor = max(1e-8, 10.0 * sigma / GRADIENT_TOLERANCE)
-        return grad_check(batch, tau, GRADIENT_STEP, floor=floor, loss_fn=loss_fn)
+        return grad_check(batch, tau, loss_fn=loss_fn)
 
     return _run_suite("gradient check", GRADIENT_TOLERANCE, batches, seed, error, tau)
 

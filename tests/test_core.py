@@ -528,7 +528,9 @@ class TestTypes:
             opinion_text="",
             sentiment=SentimentPolarity.POSITIVE,
         )
-        with pytest.raises(ValueError, match="out of bounds"):
+        with pytest.raises(
+            ValueError, match=r"^aspect span \(0,9\) out of bounds for 2 tokens in example 'e'$"
+        ):
             Example(id="e", text="a b", tokens=("a", "b"), quads=(q,))
 
     def test_example_rejects_duplicate_and_mismatched_text(self):
@@ -542,7 +544,9 @@ class TestTypes:
         )
         with pytest.raises(ValueError, match="duplicate quadruple"):
             Example(id="e", text="a b", tokens=("a", "b"), quads=(q, q))
-        with pytest.raises(ValueError, match="does not match span tokens 'b'"):
+        with pytest.raises(
+            ValueError, match=r"^aspect text 'a' does not match span tokens 'b' in example 'e'$"
+        ):
             Example(id="e", text="b a", tokens=("b", "a"), quads=(q,))
 
     def test_sentiment_order(self):

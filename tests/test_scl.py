@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acosgen import scl
 from acosgen.scl import (
+    GRADIENT_TOLERANCE,
     ReprBatch,
     SclConfig,
     extend_batch,
@@ -111,7 +114,7 @@ class TestSclLoss:
             loss, grad = scl_loss(batch, 0.25)
             assert loss == 0.0
             assert np.allclose(grad, 0.0, atol=1e-15)
-            assert grad_check(batch, 0.25, 1e-5) < 1e-4
+            assert grad_check(batch, 0.25) < 1e-4
 
     def test_label_encodings_agree(self):
         # Integer codes are used as they are; strings, sparse and negative
@@ -397,13 +400,13 @@ class TestGradCheck:
         rng = np.random.default_rng(7)
         for _ in range(20):
             batch = random_batch(rng)
-            assert grad_check(batch, 0.25, 1e-5) < 1e-4
+            assert grad_check(batch, 0.25) < 1e-4
 
     def test_tau_halved_still_passes(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             batch = random_batch(rng)
-            assert grad_check(batch, 0.125, 1e-5) < 1e-4
+            assert grad_check(batch, 0.125) < 1e-4
 
     def test_zero_gradient_at_symmetric_point(self):
         row = np.array([0.5, -0.25, 1.0])
@@ -420,40 +423,47 @@ class TestGradCheck:
             minus, _ = scl_loss(replace(batch, reps=bumped), 0.25)
             assert abs((plus - minus) / (2 * h)) < 1e-6
 
-    def test_sampling_path_on_large_batch(self):
-        rng = np.random.default_rng(9)
-        reps = rng.standard_normal((70, 80))
-        batch = extend_batch(reps, rng.integers(0, 3, 70), SclConfig(rng_seed=1))
-        assert batch.num_rows * 80 > 10_000
-        # larger step keeps central-difference roundoff below the metric's
-        # 1e-8 denominator floor at this batch size (many saturated,
-        # near-zero-gradient coordinates in the 10% sample)
-        assert grad_check(batch, 0.25, 1e-3) < 1e-4
-
     def test_leaves_batch_unchanged_and_matches_fresh_copies(self):
         batch = random_batch(np.random.default_rng(12))
         before = batch.reps.copy()
-        first = grad_check(batch, 0.25, 1e-5)
+        first = grad_check(batch, 0.25)
         assert np.array_equal(batch.reps, before)
-        assert grad_check(batch, 0.25, 1e-5) == first
-        # Reference: a fresh copy of the batch for every probe.
-        _, grad = scl_loss(batch, 0.25)
-        expected = 0.0
-        for i, j in np.ndindex(*batch.reps.shape):
-            bumped = batch.reps.copy()
-            bumped[i, j] += 1e-5
-            plus, _ = scl_loss(replace(batch, reps=bumped), 0.25)
-            bumped[i, j] -= 2e-5
-            minus, _ = scl_loss(replace(batch, reps=bumped), 0.25)
-            numeric = (plus - minus) / 2e-5
-            err = abs(numeric - grad[i, j]) / max(abs(numeric), abs(grad[i, j]), 1e-8)
-            expected = max(expected, err)
-        assert first == expected
+        assert grad_check(batch, 0.25) == first
+        assert first == fresh_copy_error(batch, 0.25)
 
-    def test_bad_h_rejected(self):
-        batch = extend_batch(np.ones((2, 3)), ["a", "b"], SclConfig(dropout_p=0.0))
-        with pytest.raises(ValueError):
-            grad_check(batch, 0.25, 0.0)
+    @pytest.mark.parametrize("stream, index, tau", [(2, 14, 0.25), (0, 7, 0.05)])
+    def test_roundoff_on_a_near_zero_coordinate_passes(self, stream, index, tau):
+        # Under a plain 1e-8 floor, central-difference roundoff on a coordinate
+        # whose derivative is about zero reads as an error above the tolerance.
+        # grad_check's roundoff floor judges it on an absolute scale. At
+        # tau = 0.05 the floor's 1/tau term exceeds this batch's loss.
+        rng = np.random.default_rng(stream)
+        for _ in range(index + 1):
+            batch = random_batch(rng)
+        assert fresh_copy_error(batch, tau, floor=1e-8) >= 1e-4
+        assert grad_check(batch, tau) == fresh_copy_error(batch, tau) < 1e-4
+
+
+def fresh_copy_error(batch, tau, floor=None):
+    """grad_check's metric at h = 1e-5, on a fresh copy for every probe.
+
+    The denominator floor defaults to grad_check's roundoff floor.
+    """
+    loss, grad = scl_loss(batch, tau)
+    if floor is None:
+        roundoff = np.finfo(np.float64).eps * max(1.0, abs(loss), 1.0 / tau) / 1e-5
+        floor = max(1e-8, 10.0 * roundoff / 1e-4)
+    worst = 0.0
+    for i, j in np.ndindex(*batch.reps.shape):
+        bumped = batch.reps.copy()
+        bumped[i, j] += 1e-5
+        plus, _ = scl_loss(replace(batch, reps=bumped), tau)
+        bumped[i, j] -= 2e-5
+        minus, _ = scl_loss(replace(batch, reps=bumped), tau)
+        numeric = (plus - minus) / 2e-5
+        err = abs(numeric - grad[i, j]) / max(abs(numeric), abs(grad[i, j]), floor)
+        worst = max(worst, err)
+    return worst
 
 
 class TestConfig:
@@ -569,3 +579,50 @@ class TestVerifySuites:
         gradient = gradient_suite(batches=8, tau=0.05, seed=2)
         assert oracle.passed, oracle.summary()
         assert gradient.passed, gradient.summary()
+
+
+# Kernel mutants: (fragment of scl_loss's source, its replacement, the gates
+# that must catch it). Gradient-only bugs leave the loss exact, so only the
+# gradient gates see them; a wrong loss fails both gates.
+MUTANTS = {
+    "unmutated": ("", "", set()),
+    "second gradient GEMM sign": ("g += buf.T @ w", "g -= buf.T @ w", {"gradient"}),
+    "tangent projection dropped": (
+        "g -= (tau * (w * g).sum(axis=1))[:, None] * w", "pass", {"gradient"}
+    ),
+    "class factor 2 -> 1": ("(2.0 / (class_sizes - 1))", "(1.0 / (class_sizes - 1))", {"gradient"}),
+    "sqrt(tau) -> tau in the final scale": (
+        "(rows * root_tau * norms)", "(rows * tau * norms)", {"gradient"}
+    ),
+    "pos_counts off by one": (
+        "pos_counts = class_sizes[codes] - 1", "pos_counts = class_sizes[codes]",
+        {"oracle", "gradient"},
+    ),
+    "row max left out of the log-sum-exp": (
+        "lse = row_max + np.log(denom)", "lse = np.log(denom)", {"oracle", "gradient"}
+    ),
+}
+
+
+def mutant_loss(fragment, replacement):
+    """scl_loss with one source fragment replaced, run in a copy of the module namespace."""
+    source = inspect.getsource(scl.scl_loss)
+    assert not fragment or source.count(fragment) == 1
+    namespace = dict(vars(scl))
+    exec(source.replace(fragment, replacement), namespace)
+    return namespace["scl_loss"]
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_gates_catch_kernel_mutants(name):
+    fragment, replacement, catchers = MUTANTS[name]
+    loss_fn = mutant_loss(fragment, replacement)
+    oracle = oracle_suite(batches=20, seed=7, loss_fn=loss_fn)
+    gradient = gradient_suite(batches=20, seed=7, loss_fn=loss_fn)
+    results = {"oracle": oracle, "gradient": gradient}
+    assert {gate for gate, result in results.items() if not result.passed} == catchers
+    if gradient.first_failure is not None:
+        # The suite's error is grad_check's: replaying the saved batch fails it too.
+        failure = gradient.first_failure
+        batch = ReprBatch(np.array(failure["reps"]), np.array(failure["labels"]))
+        assert grad_check(batch, failure["tau"], loss_fn=loss_fn) >= GRADIENT_TOLERANCE
