@@ -4,7 +4,13 @@ Provides the domain types and dataset IO, bidirectional target formats
 (linearization and robust inverse parsing), an exact-match evaluator with
 implicit/explicit splits, and a numerically verified supervised contrastive
 objective with a toy training demo.
+
+Only the contrastive half (``scl``, ``demo``, ``verify``, ``synth``) needs
+numpy. It is imported on first use of one of its names here, so the text
+pipeline (load, linearize, parse, score) starts without it.
 """
+
+from importlib import import_module
 
 from .core import (
     IMPLICIT,
@@ -30,14 +36,17 @@ from .linearize import (
     order_quads,
 )
 from .parse import ParseOutcome, PredictedQuad, parse_output, read_predictions
-from .scl import (
-    ReprBatch,
-    SclConfig,
-    extend_batch,
-    grad_check,
-    load_scl_config,
-    reference_scl_loss,
-    scl_loss,
+
+# Served by __getattr__ below.
+_NUMPY_SUBMODULES = frozenset({"scl", "demo", "verify", "synth"})
+_SCL_EXPORTS = (
+    "ReprBatch",
+    "SclConfig",
+    "extend_batch",
+    "grad_check",
+    "load_scl_config",
+    "reference_scl_loss",
+    "scl_loss",
 )
 
 __all__ = [
@@ -67,13 +76,17 @@ __all__ = [
     "PredictedQuad",
     "parse_output",
     "read_predictions",
-    "ReprBatch",
-    "SclConfig",
-    "extend_batch",
-    "grad_check",
-    "load_scl_config",
-    "reference_scl_loss",
-    "scl_loss",
+    *_SCL_EXPORTS,
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import the contrastive half on first use of one of its names (PEP 562)."""
+    if name in _NUMPY_SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name in _SCL_EXPORTS:
+        globals()[name] = value = getattr(import_module(".scl", __name__), name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,21 +20,46 @@ import os
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .configs import resolve_category_map, resolve_scl_config
 from .core import DatasetError, load_dataset
-from .demo import export_representations, toy_demo
 from .evaluate import dataset_stats, score
 from .linearize import CategoryMapError, FormatStyle, linearize_example
 from .parse import parse_output, read_predictions
-from .scl import SclConfig
-from .synth import make_synthetic_corpus
-from .verify import gradient_suite, oracle_suite, save_failure
+
+if TYPE_CHECKING:
+    from .scl import SclConfig
 
 __all__ = ["main"]
 
 ENV_PREFIX = "ACOSGEN_"
+
+# The contrastive half (it imports numpy) by name and defining module. __getattr__ binds each
+# name on first use, and the scl commands call ``_cli.<name>``, so the text commands never
+# import numpy and a value set here first (a tracer's patch) is the one called.
+_SCL_NAMES = {
+    "toy_demo": ".demo",
+    "export_representations": ".demo",
+    "make_synthetic_corpus": ".synth",
+    "oracle_suite": ".verify",
+    "gradient_suite": ".verify",
+    "save_failure": ".verify",
+    "SclConfig": ".scl",
+}
+
+
+def __getattr__(name: str):
+    """Import a contrastive-half name on first use and bind it on this module (PEP 562)."""
+    if name not in _SCL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(_SCL_NAMES[name], __package__), name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 def _add(p: argparse.ArgumentParser, env: dict[str, str], flag: str, **kw) -> None:
@@ -155,7 +180,7 @@ _SCL_FLAGS = {"tau": "tau", "alpha": "alpha", "dropout": "dropout_p", "seed": "r
 
 
 def _assemble_scl_config(args) -> SclConfig:
-    cfg = resolve_scl_config(args.scl_config) if args.scl_config else SclConfig()
+    cfg = resolve_scl_config(args.scl_config) if args.scl_config else _cli.SclConfig()
     given = {field: getattr(args, flag) for flag, field in _SCL_FLAGS.items()}
     return replace(cfg, **{field: v for field, v in given.items() if v is not None})
 
@@ -207,13 +232,13 @@ def _cmd_scl_check(args) -> int:
     for batches in (args.oracle_batches, args.grad_batches):
         if batches < 0:
             raise ValueError(f"batches must be >= 0, got {batches}")
-    oracle = oracle_suite(batches=args.oracle_batches, tau=args.tau, seed=args.seed)
-    gradient = gradient_suite(batches=args.grad_batches, tau=args.tau, seed=args.seed)
+    oracle = _cli.oracle_suite(batches=args.oracle_batches, tau=args.tau, seed=args.seed)
+    gradient = _cli.gradient_suite(batches=args.grad_batches, tau=args.tau, seed=args.seed)
     print(oracle.summary())
     print(gradient.summary())
     failed = [r for r in (oracle, gradient) if not r.passed]
     if failed:
-        path = save_failure(failed[0], args.failure_out)
+        path = _cli.save_failure(failed[0], args.failure_out)
         print(f"first offending batch written to {path}", file=sys.stderr)
         return 1
     return 0
@@ -224,11 +249,11 @@ def _cmd_scl_demo(args) -> int:
     if args.dataset:
         corpus = load_dataset(args.dataset)
     else:
-        corpus = make_synthetic_corpus(args.synthetic, seed=cfg.rng_seed)
-    result = toy_demo(corpus, cfg, args.steps)
+        corpus = _cli.make_synthetic_corpus(args.synthetic, seed=cfg.rng_seed)
+    result = _cli.toy_demo(corpus, cfg, args.steps)
     _emit(json.dumps(result.to_dict(), indent=2) if args.json else result.to_text(), args.out)
     if args.reps_out:
-        export_representations(result, args.reps_out)
+        _cli.export_representations(result, args.reps_out)
     return 0
 
 

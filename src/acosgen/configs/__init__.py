@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..linearize import CategoryMap
-from ..scl import SclConfig, load_scl_config
+
+if TYPE_CHECKING:
+    from ..scl import SclConfig
 
 __all__ = [
     "DATASETS",
@@ -51,6 +54,8 @@ def default_category_map(dataset: str) -> CategoryMap:
 
 
 def default_scl_config(dataset: str) -> SclConfig:
+    from ..scl import load_scl_config  # imports numpy, which the category maps do not need
+
     return load_scl_config(_shipped(dataset, 1))
 
 
@@ -72,4 +77,6 @@ def resolve_category_map(spec: str) -> CategoryMap:
 
 def resolve_scl_config(spec: str) -> SclConfig:
     """Resolve an SclConfig argument: shipped dataset name or key=value file."""
+    from ..scl import load_scl_config
+
     return _resolve(spec, default_scl_config, load_scl_config, "scl config")

@@ -87,6 +87,13 @@ class _Implicit:
 IMPLICIT = object.__new__(_Implicit)
 
 
+def _reduce_to_fields(value) -> tuple:
+    """``__reduce__`` of a frozen dataclass with class-body ``__slots__``: call the class
+    with its fields. (``slots=True`` would make assigning a non-field attribute raise
+    ``TypeError`` instead of ``FrozenInstanceError``; plain slots cannot be unpickled.)"""
+    return type(value), tuple(getattr(value, name) for name in value.__slots__)
+
+
 class SentimentPolarity(IntEnum):
     """Sentiment polarity with the dataset's integer codes as values.
 
@@ -103,9 +110,12 @@ class SentimentPolarity(IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Span:
     """Token span [start, end) into the owning sentence's token list."""
+
+    __slots__ = ("start", "end")
+    __reduce__ = _reduce_to_fields
 
     start: int
     end: int
@@ -133,7 +143,7 @@ class QuadType(Enum):
 _QUAD_TYPES = tuple(QuadType)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Quadruple:
     """One (aspect, category, opinion, sentiment) annotation.
 
@@ -142,6 +152,10 @@ class Quadruple:
     span tokens, and empty exactly when the term is implicit. Neither term
     may contain a reserved separator (see :func:`check_reserved`).
     """
+
+    __slots__ = ("aspect_span", "aspect_text", "category", "opinion_span", "opinion_text",
+                 "sentiment")
+    __reduce__ = _reduce_to_fields
 
     aspect_span: Span | _Implicit
     aspect_text: str

@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import IMPLICIT, QUAD_SEPARATOR, SentimentPolarity, _Implicit, read_utf8, split_lines
+from .core import (
+    IMPLICIT,
+    QUAD_SEPARATOR,
+    SentimentPolarity,
+    _Implicit,
+    _reduce_to_fields,
+    read_utf8,
+    split_lines,
+)
 from .linearize import (
     CategoryMap,
     FormatStyle,
@@ -37,9 +45,12 @@ _SENTIMENT_BY_WORD = {w: p for p, w in GEN_NAT_SENTIMENT.items()}
 _SENTIMENT_BY_PARAPHRASE = {w: p for p, w in PARAPHRASE_SENTIMENT.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PredictedQuad:
     """A quadruple recovered from generated text (no token spans)."""
+
+    __slots__ = ("aspect", "category", "opinion", "sentiment")
+    __reduce__ = _reduce_to_fields
 
     aspect: str | _Implicit
     category: str

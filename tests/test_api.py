@@ -1,7 +1,13 @@
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +56,101 @@ def test_tracer_hooks_of_the_loss():
     for suite in (cli.oracle_suite, cli.gradient_suite):
         assert "loss_fn" in inspect.signature(suite).parameters
     assert [f.name for f in fields(ReprBatch)] == ["reps", "labels"]
+
+
+def run_fresh(script: str, *args: str) -> list:
+    """Run ``script`` in a new interpreter importing this ``acosgen``; return its JSON stdout."""
+    src = str(Path(acosgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_text_commands_do_not_import_numpy(mini_dataset_file, tmp_path):
+    script = """
+        import contextlib, io, json, sys
+        import acosgen, acosgen.cli
+
+        dataset, targets = sys.argv[1:]
+        text_commands = [
+            ["stats", "--dataset", dataset],
+            ["stats", "--dataset", dataset, "--json"],
+            ["linearize", "--dataset", dataset, "--out", targets],
+            ["evaluate", "--dataset", dataset, "--predictions", targets],
+            ["evaluate", "--dataset", dataset, "--predictions", targets, "--json"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [acosgen.cli.main(argv) for argv in text_commands]
+            numpy_after_text = "numpy" in sys.modules
+            demo = acosgen.cli.main(["scl-demo", "--synthetic", "8", "--steps", "1"])
+        print(json.dumps([codes, numpy_after_text, demo]))
+    """
+    targets = tmp_path / "targets.txt"
+    assert run_fresh(script, str(mini_dataset_file), str(targets)) == [[0] * 5, False, 0]
+
+
+def test_package_serves_the_contrastive_half_on_first_use():
+    script = """
+        import json, sys
+        import acosgen.cli
+
+        numpy_on_import = "numpy" in sys.modules
+        modules = [getattr(acosgen, name).__name__ for name in ("scl", "demo", "verify", "synth")]
+        from acosgen import scl_loss
+
+        missing = [name for name in acosgen.__all__ if not hasattr(acosgen, name)]
+        print(json.dumps([numpy_on_import, modules, missing, scl_loss is acosgen.scl.scl_loss]))
+    """
+    modules = ["acosgen.scl", "acosgen.demo", "acosgen.verify", "acosgen.synth"]
+    assert run_fresh(script) == [False, modules, [], True]
+
+
+def test_patched_cli_names_are_the_ones_scl_commands_call(tmp_path):
+    """A tracer patches ``cli.<name>`` with getattr/setattr, before or after the
+    name's first use; the scl commands must call the patch, and the original
+    once the patch is undone."""
+    script = """
+        import contextlib, io, json, sys
+        import acosgen, acosgen.cli as cli
+
+        NAMES = ("toy_demo", "make_synthetic_corpus", "oracle_suite", "gradient_suite")
+        COMMANDS = (
+            ["scl-demo", "--synthetic", "8", "--steps", "1"],
+            ["scl-check", "--oracle-batches", "2", "--grad-batches", "1", "--failure-out", sys.argv[1]],
+        )
+
+        def run_commands():
+            with contextlib.redirect_stdout(io.StringIO()):
+                return [cli.main(argv) for argv in COMMANDS]
+
+        def run_patched():
+            calls = []
+            originals = {name: getattr(cli, name) for name in NAMES}
+            for name, original in originals.items():
+                def recording(*args, _name=name, _original=original, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+                setattr(cli, name, recording)
+            try:
+                return run_commands(), calls
+            finally:
+                for name, original in originals.items():
+                    setattr(cli, name, original)
+
+        unbound = [name for name in NAMES if name not in vars(cli)]
+        before = run_patched()
+        unpatched = run_commands()
+        after = run_patched()
+        restored = [getattr(cli, name).__name__ for name in NAMES]
+        print(json.dumps([unbound, before, unpatched, after, restored]))
+    """
+    unbound, before, unpatched, after, restored = run_fresh(script, str(tmp_path / "f.json"))
+    assert unbound == ["toy_demo", "make_synthetic_corpus", "oracle_suite", "gradient_suite"]
+    calls = ["make_synthetic_corpus", "toy_demo", "oracle_suite", "gradient_suite"]
+    assert before == after == [[0, 0], calls]
+    assert unpatched == [0, 0]
+    assert restored == unbound

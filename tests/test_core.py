@@ -489,8 +489,14 @@ class TestTypes:
         assert not hasattr(value, "__dict__")
         with pytest.raises(FrozenInstanceError):
             setattr(value, field, other)
+        with pytest.raises(FrozenInstanceError):
+            value.not_a_field = other
         twin = replace(value)
         assert twin is not value and twin == value and hash(twin) == hash(value)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
         assert replace(value, **{field: other}) != value
 
     def test_quadruple_text_span_consistency(self):
