@@ -74,11 +74,13 @@ def _add(p: argparse.ArgumentParser, env: dict[str, str], flag: str, **kw) -> No
     p.add_argument(f"--{flag}", **kw)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: list[str], out: str | None) -> None:
+    """Write each line and an LF to ``out``, or to stdout; no lines write nothing."""
+    text = "".join(line + "\n" for line in lines)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,7 +190,7 @@ def _assemble_scl_config(args) -> SclConfig:
 def _cmd_stats(args) -> int:
     examples = load_dataset(args.dataset)
     stats = dataset_stats(examples, num_categories_expected=args.expected_categories)
-    _emit(json.dumps(stats.to_dict(), indent=2) if args.json else stats.to_text(), args.out)
+    _emit([json.dumps(stats.to_dict(), indent=2) if args.json else stats.to_text()], args.out)
     return 0
 
 
@@ -202,7 +204,7 @@ def _cmd_linearize(args) -> int:
             lines.append(linearize_example(example, style, category_map))
         except CategoryMapError as exc:
             raise CategoryMapError(f"line {line_no}: {exc}") from None
-    _emit("\n".join(lines), args.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -221,9 +223,9 @@ def _cmd_evaluate(args) -> int:
     if args.json:
         payload = report.to_dict()
         payload["dropped_segments"] = dropped
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit([json.dumps(payload, indent=2)], args.out)
     else:
-        _emit(report.to_text() + f"\ndropped segments: {dropped}", args.out)
+        _emit([report.to_text(), f"dropped segments: {dropped}"], args.out)
     return 0
 
 
@@ -251,7 +253,7 @@ def _cmd_scl_demo(args) -> int:
     else:
         corpus = _cli.make_synthetic_corpus(args.synthetic, seed=cfg.rng_seed)
     result = _cli.toy_demo(corpus, cfg, args.steps)
-    _emit(json.dumps(result.to_dict(), indent=2) if args.json else result.to_text(), args.out)
+    _emit([json.dumps(result.to_dict(), indent=2) if args.json else result.to_text()], args.out)
     if args.reps_out:
         _cli.export_representations(result, args.reps_out)
     return 0

@@ -29,13 +29,12 @@ __all__ = [
     "resolve_scl_config",
 ]
 
-DATASETS = ("rest", "laptop", "laptop-l1")
-
 _FILES = {
     "rest": ("categories_rest.tsv", "scl_rest.cfg"),
     "laptop": ("categories_laptop.tsv", "scl_laptop.cfg"),
     "laptop-l1": ("categories_laptop_l1.tsv", "scl_laptop_l1.cfg"),
 }
+DATASETS = tuple(_FILES)
 
 
 def _canonical(name: str) -> str:

@@ -136,9 +136,6 @@ class QuadType(Enum):
     EAIO = "EAIO"
     IAIO = "IAIO"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 _QUAD_TYPES = tuple(QuadType)
 
@@ -176,14 +173,6 @@ class Quadruple:
             check_reserved(aspect, "aspect term")
         if FIELD_SEPARATOR in opinion or QUAD_SEPARATOR in opinion:
             check_reserved(opinion, "opinion term")
-
-    @property
-    def aspect_explicit(self) -> bool:
-        return self.aspect_span is not IMPLICIT
-
-    @property
-    def opinion_explicit(self) -> bool:
-        return self.opinion_span is not IMPLICIT
 
     def match_key(self) -> tuple:
         """Surface-level identity used for exact-match evaluation.
@@ -287,15 +276,15 @@ def characteristic_labels(x: Example) -> CharacteristicLabels:
     polarities = {q.sentiment for q in x.quads}
     sentiment = polarities.pop().word if len(polarities) == 1 else "mixed"
 
-    def span_label(flags: set[bool]) -> str:
-        if flags == {True}:
+    def span_label(implicit: set[bool]) -> str:
+        if implicit == {False}:
             return "all-explicit"
-        if flags == {False}:
+        if implicit == {True}:
             return "all-implicit"
         return "mixed"
 
-    aspect = span_label({q.aspect_explicit for q in x.quads})
-    opinion = span_label({q.opinion_explicit for q in x.quads})
+    aspect = span_label({q.aspect_span is IMPLICIT for q in x.quads})
+    opinion = span_label({q.opinion_span is IMPLICIT for q in x.quads})
     return CharacteristicLabels(sentiment=sentiment, aspect=aspect, opinion=opinion)
 
 

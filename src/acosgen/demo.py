@@ -37,16 +37,14 @@ def _derived_seed(*parts) -> int:
 
 
 class TokenHashEncoder:
-    """Frozen encoder: each token maps to a fixed pseudo-random vector.
+    """Frozen encoder: each token maps to a fixed pseudo-random vector of ``ENCODER_DIM``.
 
     Vectors derive from a cryptographic hash of (seed, token), so encodings
-    are identical across processes and platforms.
+    are identical across processes and platforms. ``toy_demo`` passes
+    ``SclConfig.rng_seed`` as the seed.
     """
 
-    def __init__(self, dim: int = 32, seed: int = 0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = dim
+    def __init__(self, seed: int):
         self.seed = seed
         self._cache: dict[str, np.ndarray] = {}
 
@@ -54,7 +52,7 @@ class TokenHashEncoder:
         vec = self._cache.get(token)
         if vec is None:
             rng = np.random.default_rng(_derived_seed(self.seed, "token", token))
-            vec = rng.standard_normal(self.dim)
+            vec = rng.standard_normal(ENCODER_DIM)
             self._cache[token] = vec
         return vec
 
@@ -147,7 +145,7 @@ def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
         raise ValueError("steps must be >= 0")
     all_labels = [characteristic_labels(x) for x in corpus]
 
-    encoder = TokenHashEncoder(dim=ENCODER_DIM, seed=cfg.rng_seed)
+    encoder = TokenHashEncoder(cfg.rng_seed)
     pooled = np.stack([encoder.encode(x).mean(axis=0) for x in corpus])
 
     stats: dict[str, SeparationStats] = {}

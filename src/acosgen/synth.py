@@ -127,8 +127,8 @@ def _quad_sentiments(label: str, n: int, rng: np.random.Generator) -> list[Senti
     return sentiments
 
 
-def make_synthetic_corpus(n: int, seed: int = 0) -> list[Example]:
-    """Generate ``n`` deterministic examples with 1-3 quads each."""
+def make_synthetic_corpus(n: int, seed: int) -> list[Example]:
+    """Generate ``n`` examples with 1-3 quads each, deterministic given ``seed``."""
     if n < len(_LABEL_SCHEDULE):
         raise ValueError(f"need at least {len(_LABEL_SCHEDULE)} examples to cover all labels")
     rng = np.random.default_rng(seed)

@@ -5,7 +5,9 @@ is compared against the naive double-summation oracle on random batches, and
 its analytic gradient against central finite differences through
 ``scl.grad_check``, which owns the step, the tolerance and the roundoff
 floor. Both suites are deterministic for a given seed; the first offending
-batch is serialized so a failure can be replayed.
+batch is serialized so a failure can be replayed. Run size, temperature and
+seed have no defaults here: ``acosgen scl-check``'s flags are the one place
+they are set.
 """
 
 from __future__ import annotations
@@ -107,12 +109,13 @@ def _run_suite(
 
 
 def oracle_suite(
-    batches: int = 1000,
-    tau: float = 0.25,
-    seed: int = 0,
+    batches: int,
+    tau: float,
+    seed: int,
     loss_fn: Callable[[ReprBatch, float], tuple[float, np.ndarray]] = scl_loss,
 ) -> VerificationResult:
-    """Compare the vectorized loss against the double-summation oracle."""
+    """Compare the vectorized loss against the double-summation oracle on ``batches``
+    random batches of the stream ``seed`` at temperature ``tau``."""
 
     def error(batch: ReprBatch) -> float:
         vectorized, _ = loss_fn(batch, tau)
@@ -126,12 +129,13 @@ def oracle_suite(
 
 
 def gradient_suite(
-    batches: int = 100,
-    tau: float = 0.25,
-    seed: int = 0,
+    batches: int,
+    tau: float,
+    seed: int,
     loss_fn: Callable[[ReprBatch, float], tuple[float, np.ndarray]] = scl_loss,
 ) -> VerificationResult:
-    """Check analytic gradients against central finite differences.
+    """Check analytic gradients against central finite differences on ``batches``
+    random batches of the stream ``seed`` at temperature ``tau``.
 
     Each batch's error is :func:`acosgen.scl.grad_check`, judged against its
     ``GRADIENT_TOLERANCE``; step and roundoff floor are grad_check's own.

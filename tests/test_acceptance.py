@@ -9,6 +9,7 @@ synthetic corpus, and the statistics criterion is skipped with an
 explanation while its machinery is exercised on a fixture with known counts.
 """
 
+import inspect
 import math
 import os
 import time
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from acosgen import evaluate, parse
 from acosgen.core import QuadType, load_dataset, parse_dataset_text
 from acosgen.demo import toy_demo
 from acosgen.evaluate import dataset_stats, score
@@ -263,3 +265,47 @@ def test_toy_separation_demo():
     assert elapsed < 60.0
     gap_text = ", ".join(f"{k}={v:.2f}" for k, v in gaps.items())
     _report(f"PASS: toy-separation-demo (gaps {gap_text}, {elapsed:.2f}s)")
+
+
+# Parser and scorer mutants: (function, fragment of its source, replacement, the
+# criteria above that must fail under it). The mutant's code replaces the
+# function's own, so every module that imported the function runs the mutant.
+TEXT_MUTANTS = {
+    "unmutated": (parse._split_aspect_opinion, "", "", set()),
+    "gen-nat splits at the first ' is '": (
+        parse._split_aspect_opinion, 'text.rpartition(" is ")', 'text.partition(" is ")',
+        {"round trip", "self-evaluation"},
+    ),
+    "paraphrase splits at the first ' is '": (
+        parse._parse_paraphrase_segment, 'tail.strip().rpartition(" is ")',
+        'tail.strip().partition(" is ")', {"round trip", "self-evaluation"},
+    ),
+    # A multiset: the same quad predicted twice counts twice. It survives, because
+    # parse_output drops duplicate quads and the evaluator oracle draws none.
+    "score counts duplicate predictions": (
+        evaluate.score, "counts = (len(pred_keys),", "counts = (len(pred),", set()
+    ),
+}
+
+TEXT_GATES = {
+    "round trip": test_round_trip,
+    "self-evaluation": test_self_evaluation,
+    "evaluator oracle": test_evaluator_oracle,
+}
+
+
+@pytest.mark.parametrize("name", TEXT_MUTANTS)
+def test_gates_catch_text_mutants(name, monkeypatch):
+    fn, fragment, replacement, catchers = TEXT_MUTANTS[name]
+    source = inspect.getsource(fn)
+    assert not fragment or source.count(fragment) == 1
+    namespace = dict(fn.__globals__)
+    exec(source.replace(fragment, replacement), namespace)
+    monkeypatch.setattr(fn, "__code__", namespace[fn.__name__].__code__)
+    failed = set()
+    for gate, check in TEXT_GATES.items():
+        try:
+            check()
+        except AssertionError:
+            failed.add(gate)
+    assert failed == catchers

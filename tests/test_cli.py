@@ -161,6 +161,21 @@ class TestEvaluate:
         assert code == 2
         assert "1 lines for 3 gold" in err
 
+    def test_empty_dataset_gives_zero_lines_and_counts(self, capsys, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        code, out, _ = run(capsys, "linearize", "--dataset", str(empty))
+        assert (code, out) == (0, "")
+        preds = self._targets(capsys, empty, tmp_path)
+        assert preds.read_bytes() == b""
+        code, out, _ = run(
+            capsys, "evaluate", "--dataset", str(empty), "--predictions", str(preds), "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["counts"] == {"predicted": 0, "gold": 0, "matched": 0}
+        assert payload["dropped_segments"] == 0
+
 
 class TestSclCheck:
     def test_small_run_passes(self, capsys):

@@ -400,6 +400,8 @@ class TestQuadType:
             ("0,1", "-1,-1", QuadType.EAIO),
             ("-1,-1", "-1,-1", QuadType.IAIO),
         ],
+        # Each id ends in the type's value, e.g. 0,1-1,2-EAEO.
+        ids=lambda v: v.value if isinstance(v, QuadType) else None,
     )
     def test_all_combinations(self, aspect, opinion, expected):
         x = example_from_line(f"a b\t{aspect} C 1 {opinion}")
@@ -472,8 +474,7 @@ class TestTypes:
         q = Quadruple(IMPLICIT, "", "C", Span(0, 1), "a", SentimentPolarity.NEUTRAL)
         back = pickle.loads(pickle.dumps(q))
         assert back == q and hash(back) == hash(q)
-        assert back.aspect_span is IMPLICIT
-        assert back.aspect_explicit is False and back.opinion_explicit is True
+        assert back.aspect_span is IMPLICIT and back.opinion_span is not IMPLICIT
         assert quad_type(back) is QuadType.IAEO
 
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from acosgen.demo import HEAD_DIM, TokenHashEncoder, export_representations, toy_demo
+from acosgen.demo import ENCODER_DIM, HEAD_DIM, TokenHashEncoder, export_representations, toy_demo
 from acosgen.scl import SclConfig
 from acosgen.synth import make_synthetic_corpus
 
@@ -17,19 +17,19 @@ def small_corpus():
 
 class TestEncoder:
     def test_deterministic_across_instances(self):
-        a = TokenHashEncoder(dim=16, seed=3).embed_token("pizza")
-        b = TokenHashEncoder(dim=16, seed=3).embed_token("pizza")
+        a = TokenHashEncoder(3).embed_token("pizza")
+        b = TokenHashEncoder(3).embed_token("pizza")
         assert np.array_equal(a, b)
 
     def test_seed_changes_embedding(self):
-        a = TokenHashEncoder(dim=16, seed=3).embed_token("pizza")
-        b = TokenHashEncoder(dim=16, seed=4).embed_token("pizza")
+        a = TokenHashEncoder(3).embed_token("pizza")
+        b = TokenHashEncoder(4).embed_token("pizza")
         assert not np.array_equal(a, b)
 
     def test_encode_shape(self, small_corpus):
-        enc = TokenHashEncoder(dim=8, seed=0)
+        enc = TokenHashEncoder(0)
         x = small_corpus[0]
-        assert enc.encode(x).shape == (len(x.tokens), 8)
+        assert enc.encode(x).shape == (len(x.tokens), ENCODER_DIM)
 
 
 class TestToyDemo:

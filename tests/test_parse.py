@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from acosgen.configs import DATASETS, default_category_map
 from acosgen.core import IMPLICIT, SentimentPolarity
+from acosgen.evaluate import score
 from acosgen.linearize import FormatStyle, linearize_example
 from acosgen.parse import parse_output, read_predictions
 from acosgen.synth import make_synthetic_corpus
+
+from conftest import example_from_line
 
 
 def keys(quads):
@@ -205,3 +208,22 @@ class TestRoundTrip:
                 out = parse_output(target, style, rest_map)
                 assert out.dropped == 0
                 assert keys(out.quads) == {q.match_key() for q in x.quads}
+
+
+# Targets the parser cannot invert today: each parses back, with no
+# segment dropped, to one quad that matches nothing.
+LOSSY = {
+    "explicit-aspect-it": "it was good\t0,1 FOOD#QUALITY 2 2,3",
+    "explicit-opinion-null": "pizza null\t0,1 FOOD#QUALITY 2 1,2",
+    "opinion-is-then-more-words": "pizza what it is today\t0,1 FOOD#QUALITY 2 1,5",
+}
+
+
+class TestLossyTargets:
+    @pytest.mark.parametrize("style", list(FormatStyle))
+    @pytest.mark.parametrize("case", LOSSY)
+    def test_round_trips_to_f1_zero_without_drops(self, case, style, rest_map):
+        x = example_from_line(LOSSY[case])
+        out = parse_output(linearize_example(x, style, rest_map), style, rest_map)
+        assert (out.dropped, len(out.quads)) == (0, 1), out.warnings
+        assert score([out.quads], [x]).f1 == 0.0

@@ -534,8 +534,8 @@ class TestConfig:
 
 class TestVerifySuites:
     def test_suites_pass_small(self):
-        oracle = oracle_suite(batches=60, seed=1)
-        gradient = gradient_suite(batches=10, seed=1)
+        oracle = oracle_suite(batches=60, tau=0.25, seed=1)
+        gradient = gradient_suite(batches=10, tau=0.25, seed=1)
         assert oracle.passed and gradient.passed
 
     def test_sign_flip_detected(self):
@@ -543,7 +543,7 @@ class TestVerifySuites:
             loss, grad = scl_loss(batch, tau)
             return loss, -grad
 
-        result = gradient_suite(batches=3, seed=0, loss_fn=broken)
+        result = gradient_suite(batches=3, tau=0.25, seed=0, loss_fn=broken)
         assert not result.passed
         assert result.first_failure is not None
 
@@ -552,7 +552,7 @@ class TestVerifySuites:
             loss, grad = scl_loss(batch, tau)
             return 1.01 * loss, grad
 
-        result = oracle_suite(batches=20, seed=0, loss_fn=broken)
+        result = oracle_suite(batches=20, tau=0.25, seed=0, loss_fn=broken)
         assert not result.passed
 
     def test_failure_file_keys(self, tmp_path):
@@ -560,14 +560,14 @@ class TestVerifySuites:
             loss, grad = scl_loss(batch, tau)
             return 1.01 * loss, grad
 
-        path = save_failure(oracle_suite(batches=1, seed=0, loss_fn=broken), tmp_path / "f.json")
+        path = save_failure(oracle_suite(batches=1, tau=0.25, seed=0, loss_fn=broken), tmp_path / "f.json")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert list(payload) == ["suite", "tau", "error", "reps", "labels"]
 
     def test_negative_batch_count_rejected(self):
         for suite in (oracle_suite, gradient_suite):
             with pytest.raises(ValueError, match="batches must be >= 0, got -1"):
-                suite(batches=-1)
+                suite(batches=-1, tau=0.25, seed=0)
 
     @pytest.mark.parametrize("tau", [0.05, 0.01])
     def test_oracle_holds_at_sharp_temperatures(self, tau):
@@ -617,8 +617,8 @@ def mutant_loss(fragment, replacement):
 def test_gates_catch_kernel_mutants(name):
     fragment, replacement, catchers = MUTANTS[name]
     loss_fn = mutant_loss(fragment, replacement)
-    oracle = oracle_suite(batches=20, seed=7, loss_fn=loss_fn)
-    gradient = gradient_suite(batches=20, seed=7, loss_fn=loss_fn)
+    oracle = oracle_suite(batches=20, tau=0.25, seed=7, loss_fn=loss_fn)
+    gradient = gradient_suite(batches=20, tau=0.25, seed=7, loss_fn=loss_fn)
     results = {"oracle": oracle, "gradient": gradient}
     assert {gate for gate, result in results.items() if not result.passed} == catchers
     if gradient.first_failure is not None:
