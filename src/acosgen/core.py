@@ -21,10 +21,11 @@ sentinel "-1,-1" marks an implicit term; sentiment codes are
 
 The loader takes only canonical span and sentiment strings, so it drops duplicate
 quadruples on their raw whitespace-split fields before parsing. Every quad is built
-by the one checked :class:`Quadruple` constructor; distinct span strings and
-sentiment codes are parsed once (a bounded memo). The loader bounds-checks spans and
-resolves term texts, so it builds each :class:`Example` unchecked; directly
-constructed examples are checked in full.
+by the one checked :class:`Quadruple` constructor, in one pass: its ``__init__``
+checks the arguments, then stores each through the class's slot descriptor (past the
+frozen ``__setattr__``). Distinct span strings and sentiment codes are parsed once (a
+bounded memo). The loader bounds-checks spans and resolves term texts, so it builds
+each :class:`Example` unchecked; directly constructed examples are checked in full.
 """
 
 from __future__ import annotations
@@ -88,10 +89,18 @@ IMPLICIT = object.__new__(_Implicit)
 
 
 def _reduce_to_fields(value) -> tuple:
-    """``__reduce__`` of a frozen dataclass with class-body ``__slots__``: call the class
-    with its fields. (``slots=True`` would make assigning a non-field attribute raise
-    ``TypeError`` instead of ``FrozenInstanceError``; plain slots cannot be unpickled.)"""
+    """``__reduce__`` of a slotted dataclass: call the class with its fields. (Plain slots
+    cannot be pickled at protocols 0 and 1, nor unpickled through a frozen ``__setattr__``.
+    Frozen ones declare class-body ``__slots__``: ``slots=True`` would make assigning a
+    non-field attribute raise ``TypeError`` instead of ``FrozenInstanceError``.)"""
     return type(value), tuple(getattr(value, name) for name in value.__slots__)
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each of ``cls.__slots__``, in order. An ``__init__`` that calls
+    them stores its fields directly, where a frozen dataclass's own goes through
+    ``object.__setattr__`` field by field."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class SentimentPolarity(IntEnum):
@@ -140,7 +149,7 @@ class QuadType(Enum):
 _QUAD_TYPES = tuple(QuadType)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Quadruple:
     """One (aspect, category, opinion, sentiment) annotation.
 
@@ -161,18 +170,28 @@ class Quadruple:
     opinion_text: str
     sentiment: SentimentPolarity
 
-    def __post_init__(self) -> None:
-        if not self.category:
+    def __init__(self, aspect_span: Span | _Implicit, aspect_text: str, category: str,
+                 opinion_span: Span | _Implicit, opinion_text: str,
+                 sentiment: SentimentPolarity) -> None:
+        if not category:
             raise ValueError("category must be non-empty")
-        aspect, opinion = self.aspect_text, self.opinion_text
-        if (self.aspect_span is IMPLICIT) != (aspect == ""):
+        if (aspect_span is IMPLICIT) != (aspect_text == ""):
             raise ValueError("aspect text must be empty iff the aspect is implicit")
-        if (self.opinion_span is IMPLICIT) != (opinion == ""):
+        if (opinion_span is IMPLICIT) != (opinion_text == ""):
             raise ValueError("opinion text must be empty iff the opinion is implicit")
-        if FIELD_SEPARATOR in aspect or QUAD_SEPARATOR in aspect:  # check_reserved on a hit only
-            check_reserved(aspect, "aspect term")
-        if FIELD_SEPARATOR in opinion or QUAD_SEPARATOR in opinion:
-            check_reserved(opinion, "opinion term")
+        # check_reserved on a hit only
+        if FIELD_SEPARATOR in aspect_text or QUAD_SEPARATOR in aspect_text:
+            check_reserved(aspect_text, "aspect term")
+        if FIELD_SEPARATOR in opinion_text or QUAD_SEPARATOR in opinion_text:
+            check_reserved(opinion_text, "opinion term")
+        (set_aspect_span, set_aspect_text, set_category, set_opinion_span, set_opinion_text,
+         set_sentiment) = _QUADRUPLE_SETTERS
+        set_aspect_span(self, aspect_span)
+        set_aspect_text(self, aspect_text)
+        set_category(self, category)
+        set_opinion_span(self, opinion_span)
+        set_opinion_text(self, opinion_text)
+        set_sentiment(self, sentiment)
 
     def match_key(self) -> tuple:
         """Surface-level identity used for exact-match evaluation.
@@ -183,6 +202,9 @@ class Quadruple:
         # A term's text is empty exactly when it is implicit.
         return (self.aspect_text or IMPLICIT, self.category, self.opinion_text or IMPLICIT,
                 self.sentiment)
+
+
+_QUADRUPLE_SETTERS = _slot_setters(Quadruple)
 
 
 def _quad_type_index(q: Quadruple) -> int:
@@ -211,6 +233,9 @@ class Example:
     were checked there, and may share :class:`Span` instances.
     """
 
+    __slots__ = ("id", "text", "tokens", "quads")
+    __reduce__ = _reduce_to_fields
+
     id: str
     text: str
     tokens: tuple[str, ...]
@@ -220,16 +245,21 @@ class Example:
     def _unchecked(
         cls, id: str, text: str, tokens: tuple[str, ...], quads: tuple[Quadruple, ...]
     ) -> "Example":
-        """Build an Example without running ``__post_init__``.
+        """Build an Example without running ``__post_init__``: the fields go straight
+        into the slots, as :class:`Quadruple` stores its own.
 
         Only for quads the caller has already validated against ``tokens``
         exactly as ``__post_init__`` would: distinct under :func:`_quad_key`,
         every span within ``len(tokens)``, every explicit term text equal to
-        ``" ".join(tokens[span.start:span.end])``.
+        ``" ".join(tokens[span.start:span.end])``. Copies and unpickled examples
+        are built by the checked constructor.
         """
         x = object.__new__(cls)
-        # Frozen dataclasses block __setattr__, not the instance dict.
-        x.__dict__.update(id=id, text=text, tokens=tokens, quads=quads)
+        set_id, set_text, set_tokens, set_quads = _EXAMPLE_SETTERS
+        set_id(x, id)
+        set_text(x, text)
+        set_tokens(x, tokens)
+        set_quads(x, quads)
         return x
 
     def __post_init__(self) -> None:
@@ -252,6 +282,9 @@ class Example:
                         f"{what} text {text!r} does not match span tokens {resolved!r} "
                         f"in example {self.id!r}"
                     )
+
+
+_EXAMPLE_SETTERS = _slot_setters(Example)
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,9 @@ class CategoryMap:
                 )
             self._by_raw[raw] = description
             self._by_description[description] = raw
-        # Longest-first ordering so prefix lookup resolves to the most
-        # specific description ("the food quality" before "the food").
-        self._descriptions_longest_first = sorted(self._by_description, key=len, reverse=True)
+        # Prefix lookup probes these lengths longest first, so it resolves to the
+        # most specific description ("the food quality" before "the food").
+        self._description_lengths = sorted({len(d) for d in self._by_description}, reverse=True)
 
     def __len__(self) -> int:
         return len(self._by_raw)
@@ -114,14 +114,16 @@ class CategoryMap:
         """Inverse lookup: longest known description that prefixes ``text``.
 
         Returns None when no description matches. The prefix rule recovers
-        categories from decoder output that trails extra tokens.
+        categories from decoder output that trails extra tokens. Descriptions
+        are unique, so at most one of each length prefixes ``text``: one dict
+        probe per distinct description length finds it.
         """
         text = text.strip()
         if text in self._by_description:
             return self._by_description[text]
-        for description in self._descriptions_longest_first:
-            if text.startswith(description):
-                return self._by_description[description]
+        for n in self._description_lengths:
+            if n < len(text) and text[:n] in self._by_description:
+                return self._by_description[text[:n]]
         return None
 
     @classmethod

@@ -27,6 +27,7 @@ from .core import (
     SentimentPolarity,
     _Implicit,
     _reduce_to_fields,
+    _slot_setters,
     read_utf8,
     split_lines,
 )
@@ -45,7 +46,7 @@ _SENTIMENT_BY_WORD = {w: p for p, w in GEN_NAT_SENTIMENT.items()}
 _SENTIMENT_BY_PARAPHRASE = {w: p for p, w in PARAPHRASE_SENTIMENT.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PredictedQuad:
     """A quadruple recovered from generated text (no token spans)."""
 
@@ -57,13 +58,26 @@ class PredictedQuad:
     opinion: str | _Implicit
     sentiment: SentimentPolarity
 
+    def __init__(self, aspect: str | _Implicit, category: str, opinion: str | _Implicit,
+                 sentiment: SentimentPolarity) -> None:
+        set_aspect, set_category, set_opinion, set_sentiment = _PREDICTED_QUAD_SETTERS
+        set_aspect(self, aspect)
+        set_category(self, category)
+        set_opinion(self, opinion)
+        set_sentiment(self, sentiment)
+
     def match_key(self) -> tuple:
         return (self.aspect, self.category, self.opinion, self.sentiment)
 
 
-@dataclass
+_PREDICTED_QUAD_SETTERS = _slot_setters(PredictedQuad)
+
+
+@dataclass(slots=True)
 class ParseOutcome:
     """Parsed quads plus a count of malformed, dropped segments."""
+
+    __reduce__ = _reduce_to_fields
 
     quads: list[PredictedQuad] = field(default_factory=list)
     dropped: int = 0
@@ -105,7 +119,7 @@ def _parse_gen_nat_segment(segment: str, category_map: CategoryMap) -> Predicted
     sentiment = _SENTIMENT_BY_WORD.get(fields[2].lower())
     if sentiment is None:
         raise _SegmentError(f"unknown sentiment word {fields[2]!r}")
-    return PredictedQuad(aspect=aspect, category=category, opinion=opinion, sentiment=sentiment)
+    return PredictedQuad(aspect, category, opinion, sentiment)
 
 
 def _parse_paraphrase_segment(segment: str, category_map: CategoryMap) -> PredictedQuad:
@@ -130,7 +144,7 @@ def _parse_paraphrase_segment(segment: str, category_map: CategoryMap) -> Predic
         raise _SegmentError(f"empty aspect or opinion in {segment!r}")
     aspect: str | _Implicit = IMPLICIT if aspect_part == IMPLICIT_ASPECT_WORD else aspect_part
     opinion: str | _Implicit = IMPLICIT if opinion_part == IMPLICIT_OPINION_WORD else opinion_part
-    return PredictedQuad(aspect=aspect, category=category, opinion=opinion, sentiment=sentiment)
+    return PredictedQuad(aspect, category, opinion, sentiment)
 
 
 def parse_output(s: str, style: FormatStyle, category_map: CategoryMap) -> ParseOutcome:

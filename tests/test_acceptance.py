@@ -180,7 +180,8 @@ def test_self_evaluation():
 
 def test_evaluator_oracle():
     """Criterion: micro-F1 equals the brute-force set-intersection oracle on
-    1000 randomized instances, exact equality."""
+    1000 randomized instances, exact equality. Some predictions repeat a key,
+    which counts once (set semantics)."""
     rng = np.random.default_rng(123)
     for _ in range(1000):
         n = int(rng.integers(1, 5))
@@ -188,10 +189,14 @@ def test_evaluator_oracle():
         for i in range(n):
             gold_keys = random_key_set(rng, 6) or [random_key(rng)]
             golds.append(gold_example_for_keys(gold_keys, i))
-            preds.append(random_key_set(rng, 6))
+            pred = random_key_set(rng, 6)
+            if pred and rng.integers(4) == 0:
+                pred.append(pred[int(rng.integers(len(pred)))])
+            preds.append(pred)
         report = score(preds, golds)
         p, r, f1, matched = brute_force_prf(
-            preds, [[q.match_key() for q in g.quads] for g in golds]
+            [list(dict.fromkeys(pred)) for pred in preds],
+            [[q.match_key() for q in g.quads] for g in golds],
         )
         assert report.counts.num_matched == matched
         assert report.precision == p
@@ -280,10 +285,11 @@ TEXT_MUTANTS = {
         parse._parse_paraphrase_segment, 'tail.strip().rpartition(" is ")',
         'tail.strip().partition(" is ")', {"round trip", "self-evaluation"},
     ),
-    # A multiset: the same quad predicted twice counts twice. It survives, because
-    # parse_output drops duplicate quads and the evaluator oracle draws none.
+    # A multiset: the same quad predicted twice counts twice. Only the evaluator
+    # oracle sees it, because parse_output drops duplicate quads.
     "score counts duplicate predictions": (
-        evaluate.score, "counts = (len(pred_keys),", "counts = (len(pred),", set()
+        evaluate.score, "counts = (len(pred_keys),", "counts = (len(pred),",
+        {"evaluator oracle"},
     ),
 }
 

@@ -2,10 +2,10 @@ import copy
 import pickle
 import re
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields as dataclass_fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acosgen.core import (
@@ -451,6 +451,36 @@ class TestCharacteristicLabels:
             assert characteristic_labels(reordered) == characteristic_labels(x)
 
 
+# Quadruple arguments that pass or fail each of its checks: implicit or spanned terms,
+# empty or non-empty texts, the output grammar's separators inside a term, an empty
+# category. Combinations with several faults pin which one is reported.
+_TERM_TEXTS = ["", "a", "pizza crust", "|", "a|b", "[SSEP]", "x [SSEP] y", "[SSEP]|", "SSEP"]
+_term_span = st.sampled_from([IMPLICIT, Span(0, 1), Span(2, 5)])
+_quad_args = st.tuples(
+    _term_span,
+    st.sampled_from(_TERM_TEXTS),
+    st.sampled_from(["", "C", "FOOD#QUALITY"]),
+    _term_span,
+    st.sampled_from(_TERM_TEXTS),
+    st.sampled_from(list(SentimentPolarity)),
+)
+
+
+def _quadruple_error(aspect_span, aspect_text, category, opinion_span, opinion_text):
+    """The message of the first check a Quadruple with these fields fails, or None."""
+    if not category:
+        return "category must be non-empty"
+    if (aspect_span is IMPLICIT) != (aspect_text == ""):
+        return "aspect text must be empty iff the aspect is implicit"
+    if (opinion_span is IMPLICIT) != (opinion_text == ""):
+        return "opinion text must be empty iff the opinion is implicit"
+    for text, what in ((aspect_text, "aspect term"), (opinion_text, "opinion term")):
+        for reserved in ("|", "[SSEP]"):
+            if reserved in text:
+                return f"{what} {text!r} contains reserved separator {reserved!r}"
+    return None
+
+
 class TestTypes:
     def test_span_validation(self):
         with pytest.raises(ValueError):
@@ -484,6 +514,7 @@ class TestTypes:
             (Quadruple(Span(0, 1), "a", "C", IMPLICIT, "", SentimentPolarity.POSITIVE),
              "category", "D"),
             (PredictedQuad("a", "C", IMPLICIT, SentimentPolarity.NEGATIVE), "opinion", "b"),
+            (example_from_line("a b\t0,1 C 2 -1,-1"), "text", "b a"),
         ],
     )
     def test_value_types_are_slotted_frozen_values(self, value, field, other):
@@ -499,6 +530,32 @@ class TestTypes:
             assert type(back) is type(value) and back == value
         assert copy.copy(value) == value and copy.deepcopy(value) == value
         assert replace(value, **{field: other}) != value
+
+    @settings(max_examples=300)
+    @given(_quad_args)
+    # Two faults at once: the first check in order is the one reported.
+    @example((IMPLICIT, "a", "", Span(0, 1), "", SentimentPolarity.POSITIVE))
+    @example((Span(0, 1), "", "C", Span(0, 1), "b|c", SentimentPolarity.NEUTRAL))
+    @example((Span(0, 1), "a|b", "C", IMPLICIT, "o", SentimentPolarity.NEGATIVE))
+    @example((Span(0, 1), "a [SSEP] b|", "C", Span(1, 2), "[SSEP]", SentimentPolarity.POSITIVE))
+    def test_quadruple_init_checks_then_stores(self, args):
+        names = [f.name for f in dataclass_fields(Quadruple)]
+        error = _quadruple_error(*args[:5])
+        if error is not None:
+            with pytest.raises(ValueError) as exc:
+                Quadruple(*args)
+            assert type(exc.value) is ValueError and str(exc.value) == error
+            return
+        q = Quadruple(*args)
+        assert all(getattr(q, name) is value for name, value in zip(names, args))
+        assert q == Quadruple(**dict(zip(names, args))) and hash(q) == hash(args)
+        assert repr(q) == f"Quadruple({', '.join(f'{n}={v!r}' for n, v in zip(names, args))})"
+        twins = [replace(q), copy.copy(q), copy.deepcopy(q)]
+        twins += [pickle.loads(pickle.dumps(q, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is Quadruple and twin == q
+            assert hash(twin) == hash(q) and repr(twin) == repr(q)
 
     def test_quadruple_text_span_consistency(self):
         with pytest.raises(ValueError, match="empty iff"):

@@ -157,6 +157,12 @@ class TestScore:
         assert extra.precision < base.precision
         assert extra.recall == base.recall
 
+    def test_duplicate_prediction_counts_once(self):
+        k = ("a0", "C0", "o0", SentimentPolarity.POSITIVE)
+        report = score([[k, k]], [gold_example_for_keys([k], 0)])
+        assert report.precision == 1.0
+        assert report.counts.num_predicted == 1
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(200):

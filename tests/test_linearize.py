@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acosgen.configs import default_category_map
+from acosgen.configs import DATASETS, default_category_map
 from acosgen.linearize import (
     CategoryMap,
     CategoryMapError,
@@ -11,6 +13,37 @@ from acosgen.linearize import (
 )
 
 from conftest import example_from_line
+
+SHIPPED_MAPS = {name: default_category_map(name) for name in DATASETS}
+
+
+@st.composite
+def _decoded_head(draw):
+    """A shipped map and a category head a decoder might write for one of its
+    descriptions: cut short, recased, trailed by tokens, padded with whitespace."""
+    name = draw(st.sampled_from(sorted(SHIPPED_MAPS)))
+    cmap = SHIPPED_MAPS[name]
+    descriptions = [cmap.natural(raw) for raw in cmap.labels]
+    text = draw(st.sampled_from(descriptions))
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    text = draw(st.sampled_from([str] * 3 + [str.upper, str.capitalize, str.swapcase]))(text)
+    trailing = st.sampled_from(["", " ", "s", " today", " quality", " overall", " and"])
+    text += "".join(draw(st.lists(st.one_of(trailing, st.sampled_from(descriptions)),
+                                  max_size=3)))
+    whitespace = st.sampled_from(["", " ", "  ", "\t", "\n "])
+    return cmap, draw(whitespace) + text + draw(whitespace)
+
+
+def _longest_prefix_scan(cmap, text):
+    """Raw label of the longest description that prefixes ``text``, by a linear scan."""
+    text = text.strip()
+    best = None
+    for raw in cmap.labels:
+        description = cmap.natural(raw)
+        if text.startswith(description) and (best is None or len(description) > len(best[0])):
+            best = (description, raw)
+    return best and best[1]
 
 
 class TestCategoryMap:
@@ -80,6 +113,12 @@ class TestCategoryMap:
         assert rest_map.raw_for_description("the food") == "FOOD#GENERAL"
         assert rest_map.raw_for_description("the food quality today") == "FOOD#QUALITY"
         assert rest_map.raw_for_description("the fooq") is None
+
+    @settings(max_examples=500)
+    @given(_decoded_head())
+    def test_prefix_lookup_equals_linear_scan(self, case):
+        cmap, text = case
+        assert cmap.raw_for_description(text) == _longest_prefix_scan(cmap, text)
 
 
 class TestLinearizeQuad:

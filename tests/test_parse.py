@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from acosgen.configs import DATASETS, default_category_map
 from acosgen.core import IMPLICIT, SentimentPolarity
 from acosgen.evaluate import score
 from acosgen.linearize import FormatStyle, linearize_example
-from acosgen.parse import parse_output, read_predictions
+from acosgen.parse import ParseOutcome, parse_output, read_predictions
 from acosgen.synth import make_synthetic_corpus
 
 from conftest import example_from_line
@@ -130,6 +132,16 @@ class TestRobustness:
                 if s.strip():
                     assert out.quads == []
                     assert out.dropped == len(s.split("[SSEP]"))
+
+    def test_outcome_is_slotted_and_pickles(self, rest_map):
+        out = parse_output("the food | the pizza is good | positive [SSEP] x", FormatStyle.GEN_NAT,
+                           rest_map)
+        assert not hasattr(out, "__dict__")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(out, protocol))
+            assert type(back) is ParseOutcome and back == out
+        out.dropped += 1  # slotted, but still mutable
+        assert out.dropped == 2
 
     def test_read_predictions(self, tmp_path):
         path = tmp_path / "p.txt"
