@@ -5,10 +5,7 @@ targets), ``evaluate`` (score a predictions file against gold), ``scl-check``
 (run the loss/gradient verification suites), ``scl-demo`` (toy contrastive
 training demo).
 
-Every flag that takes a value can also be supplied through an environment
-variable named ``ACOSGEN_<FLAG>`` (dashes become underscores), e.g.
-``ACOSGEN_DATASET``; a flag given on the command line wins. Switches such as
-``--json`` have no variable.
+Each input of a run is given on its command line.
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error.
 """
 
@@ -16,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
-from functools import lru_cache
+from functools import cache
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -34,8 +30,6 @@ if TYPE_CHECKING:
     from .scl import SclConfig
 
 __all__ = ["main"]
-
-ENV_PREFIX = "ACOSGEN_"
 
 # The contrastive half (it imports numpy) by name and defining module. __getattr__ binds each
 # name on first use, and the scl commands call ``_cli.<name>``, so the text commands never
@@ -62,18 +56,6 @@ def __getattr__(name: str):
 _cli = sys.modules[__name__]
 
 
-def _add(p: argparse.ArgumentParser, env: dict[str, str], flag: str, **kw) -> None:
-    """Add ``--<flag>`` to ``p``, defaulting to ``env["ACOSGEN_<FLAG>"]`` when that is set.
-
-    argparse converts a string default with the flag's ``type``, so a bad
-    value is a usage error (exit 2), and only for a command that takes the flag.
-    """
-    value = env.get(ENV_PREFIX + flag.upper().replace("-", "_"))
-    if value is not None:
-        kw.update(default=value, required=False)
-    p.add_argument(f"--{flag}", **kw)
-
-
 def _emit(lines: list[str], out: str | None) -> None:
     """Write each line and an LF to ``out``, or to stdout; no lines write nothing."""
     text = "".join(line + "\n" for line in lines)
@@ -83,50 +65,35 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser for the current ``ACOSGEN_*`` environment, built once per environment."""
-    env = tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith(ENV_PREFIX)))
-    return _parser_for(env)
-
-
-@lru_cache(maxsize=16)
-def _parser_for(env_items: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
-    env = dict(env_items)
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="acosgen", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def dataset_arg(p, required=True):
-        _add(p, env, "dataset", required=required, help="dataset TSV file")
+        p.add_argument("--dataset", required=required, help="dataset TSV file")
 
     def map_arg(p):
-        _add(
-            p,
-            env,
-            "category-map",
+        p.add_argument(
+            "--category-map",
             default="rest",
             help="shipped map name (rest, laptop, laptop-l1) or a TSV path",
         )
 
     def style_arg(p):
         styles = [s.value for s in FormatStyle]
-        _add(p, env, "style", choices=styles, default=FormatStyle.GEN_NAT.value)
+        p.add_argument("--style", choices=styles, default=FormatStyle.GEN_NAT.value)
 
     def out_arg(p):
-        _add(p, env, "out", help="output file (default: stdout)")
+        p.add_argument("--out", help="output file (default: stdout)")
 
     def json_arg(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of a text table")
 
-    def scl_args(p):
-        for flag in ("tau", "alpha", "dropout"):
-            _add(p, env, flag, type=float)
-        _add(
-            p, env, "scl-config", help="shipped name (rest, laptop, laptop-l1) or a key=value file"
-        )
-
     p = sub.add_parser("stats", help="dataset statistics")
     dataset_arg(p)
-    _add(p, env, "expected-categories", type=int)
+    p.add_argument("--expected-categories", type=int)
     json_arg(p)
     out_arg(p)
 
@@ -138,10 +105,8 @@ def _parser_for(env_items: tuple[tuple[str, str], ...]) -> argparse.ArgumentPars
 
     p = sub.add_parser("evaluate", help="score a predictions file against gold")
     dataset_arg(p)
-    _add(
-        p,
-        env,
-        "predictions",
+    p.add_argument(
+        "--predictions",
         required=True,
         help="one generated output string per line, aligned with the dataset",
     )
@@ -151,28 +116,30 @@ def _parser_for(env_items: tuple[tuple[str, str], ...]) -> argparse.ArgumentPars
     out_arg(p)
 
     p = sub.add_parser("scl-check", help="run loss-oracle and gradient verification suites")
-    _add(p, env, "seed", type=int, default=0)
-    _add(p, env, "tau", type=float, default=0.25)
-    _add(p, env, "oracle-batches", type=int, default=1000)
-    _add(p, env, "grad-batches", type=int, default=100)
-    _add(
-        p,
-        env,
-        "failure-out",
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tau", type=float, default=0.25)
+    p.add_argument("--oracle-batches", type=int, default=1000)
+    p.add_argument("--grad-batches", type=int, default=100)
+    p.add_argument(
+        "--failure-out",
         default="scl-check-failure.json",
         help="where to serialize the first offending batch on failure",
     )
 
     p = sub.add_parser("scl-demo", help="toy contrastive training demo")
     dataset_arg(p, required=False)
-    _add(p, env, "synthetic", type=int, default=200)
-    _add(p, env, "steps", type=int, default=150)
+    p.add_argument("--synthetic", type=int, default=200)
+    p.add_argument("--steps", type=int, default=150)
     # No default: an unset --seed leaves the config file's seed= (or SclConfig's) in force.
-    _add(p, env, "seed", type=int)
-    scl_args(p)
+    p.add_argument("--seed", type=int)
+    for flag in ("tau", "alpha", "dropout"):
+        p.add_argument(f"--{flag}", type=float)
+    p.add_argument(
+        "--scl-config", help="shipped name (rest, laptop, laptop-l1) or a key=value file"
+    )
     json_arg(p)
     out_arg(p)
-    _add(p, env, "reps-out", help="export representations TSV")
+    p.add_argument("--reps-out", help="export representations TSV")
 
     return parser
 
@@ -272,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetError, CategoryMapError, FileNotFoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DatasetError, CategoryMapError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -429,10 +429,8 @@ def _parse_quad_field(parts: tuple[str, ...], field: str, tokens: Sequence[str])
     return Quadruple(aspect_span, aspect_text, category, opinion_span, opinion_text, sentiment)
 
 
-def parse_dataset_text(
-    text: str, *, id_prefix: str = "ex", path: str | None = None
-) -> list[Example]:
-    """Parse dataset TSV content into examples. See module docstring for layout."""
+def _parse_examples(text: str, id_prefix: str, path: str | None) -> tuple[list[Example], int]:
+    """The examples of dataset TSV ``text`` and the number of duplicate quads dropped."""
     examples: list[Example] = []
     duplicates = 0
     for line_no, line in enumerate(split_lines(text), start=1):
@@ -461,12 +459,23 @@ def parse_dataset_text(
         examples.append(
             Example._unchecked(f"{id_prefix}-{line_no:04d}", sentence, tokens, tuple(quads))
         )
+    return examples, duplicates
+
+
+def _warned(parsed: tuple[list[Example], int], path: str | None) -> list[Example]:
+    """``parsed``'s examples, after warning of its dropped duplicates at the loader's caller."""
+    examples, duplicates = parsed
     if duplicates:
-        warnings.warn(
-            f"dropped {duplicates} duplicate quadruple(s) while loading {path or 'dataset'}",
-            stacklevel=2,
-        )
+        message = f"dropped {duplicates} duplicate quadruple(s) while loading {path or 'dataset'}"
+        warnings.warn(message, stacklevel=3)
     return examples
+
+
+def parse_dataset_text(
+    text: str, *, id_prefix: str = "ex", path: str | None = None
+) -> list[Example]:
+    """Parse dataset TSV content into examples. See module docstring for layout."""
+    return _warned(_parse_examples(text, id_prefix, path), path)
 
 
 def load_dataset(path: str | Path) -> list[Example]:
@@ -478,7 +487,7 @@ def load_dataset(path: str | Path) -> list[Example]:
         raise DatasetError(f"no such file: {path}") from None
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_dataset_text(text, id_prefix=path.stem, path=str(path))
+    return _warned(_parse_examples(text, path.stem, str(path)), str(path))
 
 
 def _format_span(span: Span | _Implicit) -> str:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,36 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Each command's options as its --help lists them; the top level lists the commands.
+HELP_OPTIONS = {
+    (): ["--help"],
+    ("stats",): ["--help", "--dataset", "--expected-categories", "--json", "--out"],
+    ("linearize",): ["--help", "--dataset", "--category-map", "--style", "--out"],
+    ("evaluate",): [
+        "--help", "--dataset", "--predictions", "--category-map", "--style", "--json", "--out"
+    ],
+    ("scl-check",): [
+        "--help", "--seed", "--tau", "--oracle-batches", "--grad-batches", "--failure-out"
+    ],
+    ("scl-demo",): [
+        "--help", "--dataset", "--synthetic", "--steps", "--seed", "--tau", "--alpha",
+        "--dropout", "--scl-config", "--json", "--out", "--reps-out",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", HELP_OPTIONS, ids=lambda c: " ".join(c) or "acosgen")
+def test_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert sorted(set(re.findall(r"--[a-z][a-z-]*", out))) == sorted(HELP_OPTIONS[command])
+    if not command:
+        assert out.split("\n\n")[1] == cli.__doc__.split("\n\n")[0]
+        assert all(c in out for (c,) in filter(None, HELP_OPTIONS))
 
 
 class TestStats:
@@ -33,26 +64,24 @@ class TestStats:
         assert code == 2
         assert "no such file" in err
 
-    def test_env_var_flag(self, capsys, mini_dataset_file, monkeypatch):
+    def test_environment_sets_nothing(self, capsys, mini_dataset_file, tmp_path, monkeypatch):
+        # Variables named like flags set nothing: every input is on the command line.
+        out_path = tmp_path / "out.txt"
         monkeypatch.setenv("ACOSGEN_DATASET", str(mini_dataset_file))
-        code, out, _ = run(capsys, "stats")
-        assert code == 0
-        assert "sentences" in out
-
-    def test_parser_built_once_per_environment(self, monkeypatch):
-        first = _build_parser()
-        assert _build_parser() is first
-        monkeypatch.setenv("ACOSGEN_DATASET", "x.tsv")
-        assert _build_parser() is not first
-        assert _build_parser().parse_args(["stats"]).dataset == "x.tsv"
-        monkeypatch.delenv("ACOSGEN_DATASET")
-        assert _build_parser() is first
-
-    def test_env_var_of_another_command_ignored(self, capsys, mini_dataset_file, monkeypatch):
+        monkeypatch.setenv("ACOSGEN_OUT", str(out_path))
         monkeypatch.setenv("ACOSGEN_TAU", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["stats"])
+        assert exc.value.code == 2
         code, out, _ = run(capsys, "stats", "--dataset", str(mini_dataset_file))
         assert code == 0
-        assert "sentences" in out
+        assert "sentences        3" in out
+        assert not out_path.exists()
+        code, _, _ = run(capsys, "scl-check", "--oracle-batches", "1", "--grad-batches", "0")
+        assert code == 0
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
 
 
 class TestLinearize:
@@ -186,28 +215,10 @@ class TestSclCheck:
         assert "40/40" in out
         assert "ok" in out
 
-    def test_bad_env_value_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv("ACOSGEN_TAU", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["scl-check", "--oracle-batches", "1", "--grad-batches", "0"])
-        assert exc.value.code == 2
-
-    def test_batch_counts_from_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ACOSGEN_ORACLE_BATCHES", "3")
-        monkeypatch.setenv("ACOSGEN_GRAD_BATCHES", "1")
-        code, out, _ = run(capsys, "scl-check")
-        assert code == 0
-        assert "loss oracle: 3/3" in out
-        assert "gradient check: 1/1" in out
-
     def test_negative_count_rejected_before_any_suite_runs(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "oracle_suite", lambda **kw: calls.append(kw))
         code, _, err = run(capsys, "scl-check", "--grad-batches", "-1")
-        assert (code, calls) == (2, [])
-        assert "batches must be >= 0, got -1" in err
-        monkeypatch.setenv("ACOSGEN_GRAD_BATCHES", "-1")
-        code, _, err = run(capsys, "scl-check")
         assert (code, calls) == (2, [])
         assert "batches must be >= 0, got -1" in err
 
@@ -218,12 +229,6 @@ class TestSclCheck:
         )
         assert code == 2
         assert "batches must be >= 0, got -5" in err
-
-    def test_negative_batch_count_from_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("ACOSGEN_ORACLE_BATCHES", "-1")
-        code, _, err = run(capsys, "scl-check", "--grad-batches", "0")
-        assert code == 2
-        assert "batches must be >= 0, got -1" in err
 
     @pytest.mark.parametrize("tau", ["0.001", "0.0025"])
     def test_tau_outside_oracle_domain_exit_2(self, capsys, tau):

@@ -79,11 +79,19 @@ class TestLoading:
         with pytest.raises(DatasetError, match="blank line"):
             parse_dataset_text("a b\t0,1 C 2 -1,-1\n\n")
 
-    def test_duplicate_quads_warn_and_dedup(self):
+    def test_duplicate_quads_warn_and_dedup(self, tmp_path):
         line = "a b\t0,1 C 2 1,2\t0,1 C 2 1,2\n"
-        with pytest.warns(UserWarning, match="duplicate"):
-            (x,) = parse_dataset_text(line)
-        assert len(x.quads) == 1
+        path = tmp_path / "dup.tsv"
+        path.write_text(line, encoding="utf-8")
+        for load in (lambda: parse_dataset_text(line), lambda: load_dataset(path)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                (x,) = load()
+            assert len(x.quads) == 1
+            assert [w.category for w in caught] == [UserWarning]
+            assert "dropped 1 duplicate quadruple(s)" in str(caught[0].message)
+            # Reported at the caller's line, not inside the library.
+            assert caught[0].filename == __file__
 
     def test_term_with_separator_rejected(self):
         with pytest.raises(DatasetError, match="reserved separator"):
