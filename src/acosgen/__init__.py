@@ -44,7 +44,6 @@ _SCL_EXPORTS = (
     "SclConfig",
     "extend_batch",
     "grad_check",
-    "load_scl_config",
     "reference_scl_loss",
     "scl_loss",
 )

@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .configs import resolve_category_map, resolve_scl_config
+from .configs import resolve_category_map
 from .core import DatasetError, load_dataset
 from .evaluate import dataset_stats, score
 from .linearize import CategoryMapError, FormatStyle, linearize_example
@@ -63,6 +62,17 @@ def _emit(lines: list[str], out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+# scl-demo flag -> (SclConfig field it sets, type, help). The flags have no argparse default:
+# an unset one keeps the field's default, which its help names (a test checks each against
+# SclConfig(); the parser cannot ask it, since scl imports numpy).
+_SCL_FLAGS = {
+    "seed": ("rng_seed", int, "seed of every random draw in the demo (default: 0)"),
+    "tau": ("tau", float, "SCL temperature (default: 0.25)"),
+    "alpha": ("alpha", float, "each head's SCL weight, >= 0; 0 turns SCL off (default: 0.05)"),
+    "dropout": ("dropout_p", float, "dropout probability of the SCL views (default: 0.1)"),
+}
 
 
 @cache
@@ -116,27 +126,26 @@ def _build_parser() -> argparse.ArgumentParser:
     out_arg(p)
 
     p = sub.add_parser("scl-check", help="run loss-oracle and gradient verification suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", type=float, default=0.25)
-    p.add_argument("--oracle-batches", type=int, default=1000)
-    p.add_argument("--grad-batches", type=int, default=100)
-    p.add_argument(
-        "--failure-out",
-        default="scl-check-failure.json",
-        help="where to serialize the first offending batch on failure",
-    )
+    for flag, kind, default, what in (
+        ("--seed", int, 0, "seed of both suites' random batches"),
+        ("--tau", float, 0.25, "SCL temperature"),
+        ("--oracle-batches", int, 1000, "random batches checked against the reference loss"),
+        ("--grad-batches", int, 100, "random batches checked by finite differences"),
+        ("--failure-out", str, "scl-check-failure.json", "file for the first offending batch"),
+    ):
+        p.add_argument(flag, type=kind, default=default, help=f"{what} (default: %(default)s)")
 
     p = sub.add_parser("scl-demo", help="toy contrastive training demo")
     dataset_arg(p, required=False)
-    p.add_argument("--synthetic", type=int, default=200)
-    p.add_argument("--steps", type=int, default=150)
-    # No default: an unset --seed leaves the config file's seed= (or SclConfig's) in force.
-    p.add_argument("--seed", type=int)
-    for flag in ("tau", "alpha", "dropout"):
-        p.add_argument(f"--{flag}", type=float)
     p.add_argument(
-        "--scl-config", help="shipped name (rest, laptop, laptop-l1) or a key=value file"
+        "--synthetic",
+        type=int,
+        default=200,
+        help="synthetic examples to train on without --dataset (default: %(default)s)",
     )
+    p.add_argument("--steps", type=int, default=150, help="training steps (default: %(default)s)")
+    for flag, (_, kind, what) in _SCL_FLAGS.items():
+        p.add_argument(f"--{flag}", type=kind, help=what)
     json_arg(p)
     out_arg(p)
     p.add_argument("--reps-out", help="export representations TSV")
@@ -144,14 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# scl-demo flag -> SclConfig field it overrides when given.
-_SCL_FLAGS = {"tau": "tau", "alpha": "alpha", "dropout": "dropout_p", "seed": "rng_seed"}
-
-
-def _assemble_scl_config(args) -> SclConfig:
-    cfg = resolve_scl_config(args.scl_config) if args.scl_config else _cli.SclConfig()
-    given = {field: getattr(args, flag) for flag, field in _SCL_FLAGS.items()}
-    return replace(cfg, **{field: v for field, v in given.items() if v is not None})
+def _demo_config(args) -> SclConfig:
+    given = {field: getattr(args, flag) for flag, (field, _, _) in _SCL_FLAGS.items()}
+    return _cli.SclConfig(**{field: v for field, v in given.items() if v is not None})
 
 
 def _cmd_stats(args) -> int:
@@ -214,7 +218,7 @@ def _cmd_scl_check(args) -> int:
 
 
 def _cmd_scl_demo(args) -> int:
-    cfg = _assemble_scl_config(args)
+    cfg = _demo_config(args)
     if args.dataset:
         corpus = load_dataset(args.dataset)
     else:

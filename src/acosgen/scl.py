@@ -34,12 +34,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .core import read_utf8, split_lines
 
 __all__ = [
     "SclConfig",
@@ -48,8 +45,6 @@ __all__ = [
     "scl_loss",
     "reference_scl_loss",
     "grad_check",
-    "parse_scl_config",
-    "load_scl_config",
 ]
 
 
@@ -83,6 +78,10 @@ class SclConfig:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p!r}")
         if any(not math.isfinite(a) for a in alpha):
             raise ValueError(f"alpha must be finite, got {alpha!r}")
+        # A zero weight switches that characteristic's SCL off; a negative one would train
+        # its head to shrink the very gaps SCL exists to widen.
+        if any(a < 0 for a in alpha):
+            raise ValueError(f"alpha must be >= 0, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -317,53 +316,3 @@ def grad_check(
         err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), floor)
         max_err = max(max_err, err)
     return max_err
-
-
-# Each config key and the type its value converts to.
-_CONFIG_KEYS = dict(
-    tau=float, alpha=float, alpha1=float, alpha2=float, alpha3=float, dropout=float, seed=int
-)
-
-
-def parse_scl_config(text: str, *, source: str = "<string>") -> SclConfig:
-    """Parse an SclConfig from ``key=value`` lines.
-
-    Recognized keys: tau, alpha (sets all three weights), alpha1/2/3,
-    dropout, seed. Blank lines and ``#`` comments are ignored;
-    values not present keep the SclConfig defaults. Errors start with
-    ``<source>:<line>:``, or ``<source>:`` for a value out of range.
-    """
-    values: dict[str, float | int] = {}
-    for line_no, raw_line in enumerate(split_lines(text), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{line_no}: expected key=value, got {raw_line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{source}:{line_no}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{source}:{line_no}: {key}: {exc}") from None
-
-    alpha = [values.get("alpha", a) for a in SclConfig.alpha]
-    for idx, key in enumerate(("alpha1", "alpha2", "alpha3")):
-        if key in values:
-            alpha[idx] = values[key]
-    try:
-        return SclConfig(
-            tau=values.get("tau", SclConfig.tau),
-            alpha=tuple(alpha),
-            dropout_p=values.get("dropout", SclConfig.dropout_p),
-            rng_seed=values.get("seed", SclConfig.rng_seed),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-
-
-def load_scl_config(path: str | Path) -> SclConfig:
-    """Read an SclConfig from a plain ``key=value`` file."""
-    path = Path(path)
-    return parse_scl_config(read_utf8(path), source=str(path))

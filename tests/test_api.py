@@ -154,3 +154,16 @@ def test_patched_cli_names_are_the_ones_scl_commands_call(tmp_path):
     assert before == after == [[0, 0], calls]
     assert unpatched == [0, 0]
     assert restored == unbound
+
+
+def test_package_data_globs_match_the_shipped_data_files():
+    """A stale glob, or a data file that no glob packages, fails here and not in a wheel."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = pyproject["tool"]["setuptools"]["package-data"]["acosgen.configs"]
+    configs = root / "src" / "acosgen" / "configs"
+    matched = {glob: sorted(p.name for p in configs.glob(glob)) for glob in globs}
+    assert all(matched.values()), matched
+    data = {p.name for p in configs.iterdir() if p.is_file() and p.suffix != ".py"}
+    assert set().union(*matched.values()) == data

@@ -1,11 +1,13 @@
+import argparse
 import json
 import re
+from dataclasses import fields, replace
 
 import pytest
 
 from acosgen import cli
-from acosgen.cli import _assemble_scl_config, _build_parser, main
-from acosgen.configs import default_scl_config
+from acosgen.cli import _build_parser, _demo_config, main
+from acosgen.scl import SclConfig
 
 from conftest import MINI_DATASET
 
@@ -29,7 +31,7 @@ HELP_OPTIONS = {
     ],
     ("scl-demo",): [
         "--help", "--dataset", "--synthetic", "--steps", "--seed", "--tau", "--alpha",
-        "--dropout", "--scl-config", "--json", "--out", "--reps-out",
+        "--dropout", "--json", "--out", "--reps-out",
     ],
 }
 
@@ -44,6 +46,15 @@ def test_help(capsys, command):
     if not command:
         assert out.split("\n\n")[1] == cli.__doc__.split("\n\n")[0]
         assert all(c in out for (c,) in filter(None, HELP_OPTIONS))
+
+
+@pytest.mark.parametrize("command", ["scl-check", "scl-demo"])
+def test_scl_flags_have_help_that_states_their_default(command):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for action in sub.choices[command]._actions:
+        assert action.help, action.option_strings
+        if action.default not in (None, False, argparse.SUPPRESS):
+            assert action.help.endswith("(default: %(default)s)"), action.option_strings
 
 
 class TestStats:
@@ -308,56 +319,47 @@ def test_every_json_command_prints_strict_json(capsys, mini_dataset_file, tmp_pa
         json.loads(out, parse_constant=reject)
 
 
-class TestSclConfigPlumbing:
-    def test_scl_config_file_and_overrides(self, capsys, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("tau=0.5\nalpha=0.2\n", encoding="utf-8")
-        code, out, _ = run(
-            capsys,
-            "scl-demo",
-            "--synthetic",
-            "20",
-            "--steps",
-            "2",
-            "--scl-config",
-            str(cfg),
-            "--tau",
-            "0.25",
-            "--json",
+class TestSclDemoFlags:
+    def test_help_names_the_sclconfig_defaults(self):
+        cfg = SclConfig()
+        assert sorted(field for field, _, _ in cli._SCL_FLAGS.values()) == sorted(
+            f.name for f in fields(SclConfig)
         )
-        assert code == 0
+        for flag, (field, kind, text) in cli._SCL_FLAGS.items():
+            shown = kind(re.fullmatch(r".*\(default: (\S+)\)", text)[1])
+            assert ((shown,) * 3 if field == "alpha" else shown) == getattr(cfg, field), flag
 
-    def test_config_then_flag_overrides(self, tmp_path):
+    def test_flag_sets_only_its_field(self):
         def assemble(*argv):
-            return _assemble_scl_config(_build_parser().parse_args(["scl-demo", *argv]))
+            return _demo_config(_build_parser().parse_args(["scl-demo", *argv]))
 
-        cfg = assemble("--scl-config", "laptop-l1", "--alpha", "0.3")
-        shipped = default_scl_config("laptop-l1")
-        assert cfg.alpha == (0.3, 0.3, 0.3)
-        assert (cfg.tau, cfg.dropout_p) == (shipped.tau, shipped.dropout_p)
-        path = tmp_path / "c.cfg"
-        path.write_text("tau=0.5\ndropout=0.3\nalpha1=0.9\n", encoding="utf-8")
-        cfg = assemble("--scl-config", str(path), "--alpha", "0.3", "--seed", "4")
-        assert (cfg.tau, cfg.alpha, cfg.dropout_p, cfg.rng_seed) == (0.5, (0.3, 0.3, 0.3), 0.3, 4)
+        assert assemble() == SclConfig()
+        for argv, field, value in [
+            (("--seed", "4"), "rng_seed", 4),
+            (("--tau", "0.5"), "tau", 0.5),
+            (("--alpha", "0.3"), "alpha", (0.3, 0.3, 0.3)),
+            (("--dropout", "0.3"), "dropout_p", 0.3),
+        ]:
+            assert assemble(*argv) == replace(SclConfig(), **{field: value}), argv
 
-    def test_config_seed_kept_unless_flag_given(self, capsys, tmp_path):
+    def test_unset_seed_is_seed_zero(self, capsys):
         demo = ("scl-demo", "--synthetic", "20", "--steps", "2", "--json")
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("seed=7\n", encoding="utf-8")
-        _, from_file, _ = run(capsys, *demo, "--scl-config", str(cfg))
-        _, from_flag, _ = run(capsys, *demo, "--seed", "7")
-        _, default, _ = run(capsys, *demo)
+        _, unset, _ = run(capsys, *demo)
         _, seed_zero, _ = run(capsys, *demo, "--seed", "0")
-        assert from_file == from_flag != default
-        assert default == seed_zero
-        _, overridden, _ = run(capsys, *demo, "--scl-config", str(cfg), "--seed", "0")
-        assert overridden == seed_zero
+        _, seed_seven, _ = run(capsys, *demo, "--seed", "7")
+        assert unset == seed_zero != seed_seven
 
-    def test_bad_config_exit_2(self, capsys, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("bogus=1\n", encoding="utf-8")
-        code, _, err = run(
-            capsys, "scl-demo", "--synthetic", "20", "--steps", "1", "--scl-config", str(cfg)
-        )
-        assert code == 2
-        assert "unknown key" in err
+    def test_bad_value_exit_2(self, capsys):
+        demo = ("scl-demo", "--synthetic", "20", "--steps", "1")
+        for flag, value, message in [
+            ("--tau", "-1", "tau must be positive and finite, got -1.0"),
+            ("--dropout", "1.5", "dropout_p must be in [0, 1), got 1.5"),
+            ("--alpha", "-1", "alpha must be >= 0, got (-1.0, -1.0, -1.0)"),
+        ]:
+            assert run(capsys, *demo, flag, value) == (2, "", f"error: {message}\n"), flag
+
+    def test_scl_config_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scl-demo", "--scl-config", "laptop-l1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scl-config laptop-l1" in capsys.readouterr().err

@@ -16,8 +16,6 @@ from acosgen.scl import (
     SclConfig,
     extend_batch,
     grad_check,
-    load_scl_config,
-    parse_scl_config,
     reference_scl_loss,
     scl_loss,
 )
@@ -483,53 +481,13 @@ class TestConfig:
             SclConfig(dropout_p=1.0)
         with pytest.raises(ValueError):
             SclConfig(alpha=(1.0, 2.0))
-
-    def test_file_loading(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("# comment\ntau = 0.5\nalpha=0.2\nalpha3=0.9\ndropout=0.0\nseed=4\n")
-        cfg = load_scl_config(path)
-        assert cfg.tau == 0.5
-        assert cfg.alpha == (0.2, 0.2, 0.9)
-        assert cfg.dropout_p == 0.0
-        assert cfg.rng_seed == 4
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("gamma=1\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            load_scl_config(path)
-
-    def test_pooling_key_rejected(self):
-        with pytest.raises(ValueError, match=r"^<string>:2: unknown key 'pooling'$"):
-            parse_scl_config("tau=0.5\npooling=mean\n")
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("tau=abc\n", r"^c\.cfg:1: tau: could not convert string to float: 'abc'$"),
-            ("# seed\n\nseed=1.5\n", r"^c\.cfg:3: seed: invalid literal for int"),
-            ("tau=0.5\nalpha1=x\n", r"^c\.cfg:2: alpha1: could not convert"),
-        ],
-    )
-    def test_bad_value_names_file_and_line(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            parse_scl_config(text, source="c.cfg")
-
-    def test_range_error_names_file(self):
-        with pytest.raises(ValueError, match=r"^c\.cfg: tau must be positive and finite"):
-            parse_scl_config("tau=-1\n", source="c.cfg")
-        with pytest.raises(ValueError, match=r"^c\.cfg: dropout_p must be in"):
-            parse_scl_config("dropout=1.5\n", source="c.cfg")
-
-    def test_shipped_defaults(self):
-        from acosgen.configs import default_scl_config
-
-        for name in ("rest", "laptop"):
-            cfg = default_scl_config(name)
-            assert (cfg.tau, cfg.alpha, cfg.dropout_p) == (0.25, (0.05,) * 3, 0.1)
-        l1 = default_scl_config("laptop-l1")
-        assert l1.alpha == (0.005, 0.005, 0.005)
-        assert l1.tau == 0.25
+        for alpha in (math.inf, (0.1, math.nan, 0.1)):
+            with pytest.raises(ValueError, match=r"^alpha must be finite, got"):
+                SclConfig(alpha=alpha)
+        for alpha in (-0.1, (0.1, 0.1, -0.1)):
+            with pytest.raises(ValueError, match=r"^alpha must be >= 0, got"):
+                SclConfig(alpha=alpha)
+        assert SclConfig(alpha=0).alpha == (0.0, 0.0, 0.0)  # zero switches SCL off
 
 
 class TestVerifySuites:
