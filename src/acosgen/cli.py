@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="dataset statistics")
     dataset_arg(p)
-    p.add_argument("--expected-categories", type=int)
     json_arg(p)
     out_arg(p)
 
@@ -160,7 +159,7 @@ def _demo_config(args) -> SclConfig:
 
 def _cmd_stats(args) -> int:
     examples = load_dataset(args.dataset)
-    stats = dataset_stats(examples, num_categories_expected=args.expected_categories)
+    stats = dataset_stats(examples)
     _emit([json.dumps(stats.to_dict(), indent=2) if args.json else stats.to_text()], args.out)
     return 0
 

@@ -19,13 +19,16 @@ Spans index into the whitespace-tokenized sentence, end-exclusive; the
 sentinel "-1,-1" marks an implicit term; sentiment codes are
 0=negative, 1=neutral, 2=positive.
 
-The loader takes only canonical span and sentiment strings, so it drops duplicate
-quadruples on their raw whitespace-split fields before parsing. Every quad is built
-by the one checked :class:`Quadruple` constructor, in one pass: its ``__init__``
-checks the arguments, then stores each through the class's slot descriptor (past the
-frozen ``__setattr__``). Distinct span strings and sentiment codes are parsed once (a
-bounded memo). The loader bounds-checks spans and resolves term texts, so it builds
-each :class:`Example` unchecked; directly constructed examples are checked in full.
+A quad's identity is its :meth:`Quadruple.match_key`, the text the scorer compares:
+two quads with the same aspect text, category, opinion text and sentiment are one
+quad, whatever their spans. An :class:`Example` holds at least one quad and no two
+with one key; the loader keeps the first of such quads and counts the rest in one
+warning. Every quad is built by the one checked :class:`Quadruple` constructor, in
+one pass: its ``__init__`` checks the arguments, then stores each through the class's
+slot descriptor (past the frozen ``__setattr__``). Distinct span strings and sentiment
+codes are parsed once (a bounded memo). The loader enforces every :class:`Example`
+check itself, so it builds each example unchecked; directly constructed examples are
+checked in full.
 """
 
 from __future__ import annotations
@@ -217,20 +220,15 @@ def quad_type(q: Quadruple) -> QuadType:
     return _QUAD_TYPES[_quad_type_index(q)]
 
 
-def _quad_key(q: Quadruple) -> tuple:
-    """Identity under which a quad set may hold no duplicates."""
-    return (q.aspect_span, q.category, q.opinion_span, q.sentiment)
-
-
 @dataclass(frozen=True)
 class Example:
-    """A sentence with its (duplicate-free) quadruple set.
+    """A sentence with its non-empty, duplicate-free quadruple set.
 
     ``quads`` is stored in file order but is semantically an unordered set.
-    Direct construction checks that the quads are distinct under
-    :func:`_quad_key`, that every span lies within ``tokens`` and that each
-    term text is its span's tokens joined by spaces. Examples from the loader
-    were checked there, and may share :class:`Span` instances.
+    Direct construction checks that there is at least one quad, that no two
+    share a :meth:`Quadruple.match_key`, that every span lies within ``tokens``
+    and that each term text is its span's tokens joined by spaces. Examples
+    from the loader were checked there, and may share :class:`Span` instances.
     """
 
     __slots__ = ("id", "text", "tokens", "quads")
@@ -249,10 +247,10 @@ class Example:
         into the slots, as :class:`Quadruple` stores its own.
 
         Only for quads the caller has already validated against ``tokens``
-        exactly as ``__post_init__`` would: distinct under :func:`_quad_key`,
-        every span within ``len(tokens)``, every explicit term text equal to
-        ``" ".join(tokens[span.start:span.end])``. Copies and unpickled examples
-        are built by the checked constructor.
+        exactly as ``__post_init__`` would: at least one, no two with one
+        :meth:`Quadruple.match_key`, every span within ``len(tokens)``, every
+        explicit term text equal to ``" ".join(tokens[span.start:span.end])``.
+        Copies and unpickled examples are built by the checked constructor.
         """
         x = object.__new__(cls)
         set_id, set_text, set_tokens, set_quads = _EXAMPLE_SETTERS
@@ -263,9 +261,11 @@ class Example:
         return x
 
     def __post_init__(self) -> None:
+        if not self.quads:
+            raise ValueError(f"example {self.id!r} has no quadruples")
         seen = set()
         for q in self.quads:
-            key = _quad_key(q)
+            key = q.match_key()
             if key in seen:
                 raise ValueError(f"duplicate quadruple in example {self.id!r}")
             seen.add(key)
@@ -303,9 +303,6 @@ class CharacteristicLabels:
 
 def characteristic_labels(x: Example) -> CharacteristicLabels:
     """Derive the per-example characteristic labels from its quad set."""
-    if not x.quads:
-        raise ValueError(f"example {x.id!r} has no quadruples")
-
     polarities = {q.sentiment for q in x.quads}
     sentiment = polarities.pop().word if len(polarities) == 1 else "mixed"
 
@@ -438,27 +435,22 @@ def _parse_examples(text: str, id_prefix: str, path: str | None) -> tuple[list[E
             raise DatasetError("blank line", path=path, line=line_no)
         sentence, *quad_fields = line.split("\t")
         tokens = tuple(sentence.split())
-        quads: list[Quadruple] = []
-        # Spellings are canonical (see module docstring): equal parts iff equal _quad_key.
-        seen: set[tuple[str, ...]] = set()
+        quads: dict[tuple, Quadruple] = {}  # by match key: the first of each kept
         for field in quad_fields:
             parts = tuple(field.split())
             if not parts:  # a blank field
                 continue
-            if parts in seen:
-                duplicates += 1
-                continue
-            seen.add(parts)
             try:
-                quads.append(_parse_quad_field(parts, field, tokens))
+                quad = _parse_quad_field(parts, field, tokens)
             except ValueError as exc:
                 raise DatasetError(str(exc), path=path, line=line_no) from None
+            if quads.setdefault(quad.match_key(), quad) is not quad:
+                duplicates += 1
         if not quads:
             raise DatasetError("no quadruples", path=path, line=line_no)
-        # Every span was bounds-checked and resolved against ``tokens`` above.
-        examples.append(
-            Example._unchecked(f"{id_prefix}-{line_no:04d}", sentence, tokens, tuple(quads))
-        )
+        # Every Example check was made above: quads present, keys distinct, spans resolved.
+        examples.append(Example._unchecked(f"{id_prefix}-{line_no:04d}", sentence, tokens,
+                                           tuple(quads.values())))
     return examples, duplicates
 
 

@@ -17,31 +17,50 @@ from typing import Iterable, Sequence
 
 from .core import Example, QuadType, _quad_type_index, quad_type
 
-__all__ = ["SplitScore", "MatchCounts", "EvalReport", "DatasetStats", "score", "dataset_stats"]
-
-
-@dataclass(frozen=True)
-class SplitScore:
-    precision: float
-    recall: float
-    f1: float
-    num_examples: int
+__all__ = ["MatchCounts", "EvalReport", "DatasetStats", "score", "dataset_stats"]
 
 
 @dataclass(frozen=True)
 class MatchCounts:
+    """Predicted, gold and matched quads of ``num_examples`` examples, and their P/R/F1."""
+
     num_predicted: int
     num_gold: int
     num_matched: int
+    num_examples: int
+
+    @property
+    def precision(self) -> float:
+        return self.num_matched / self.num_predicted if self.num_predicted > 0 else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.num_matched / self.num_gold if self.num_gold > 0 else 0.0
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    precision: float
-    recall: float
-    f1: float
-    per_split: dict[QuadType, SplitScore]
+    """Corpus-wide and per-split counts; the corpus P/R/F1 forward to ``counts``."""
+
     counts: MatchCounts
+    per_split: dict[QuadType, MatchCounts]
+
+    @property
+    def precision(self) -> float:
+        return self.counts.precision
+
+    @property
+    def recall(self) -> float:
+        return self.counts.recall
+
+    @property
+    def f1(self) -> float:
+        return self.counts.f1
 
     def to_dict(self) -> dict:
         return {
@@ -80,25 +99,12 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _prf(matched: int, num_pred: int, num_gold: int) -> tuple[float, float, float]:
-    precision = matched / num_pred if num_pred > 0 else 0.0
-    recall = matched / num_gold if num_gold > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
-
-
-def _key(quad) -> tuple:
-    if hasattr(quad, "match_key"):
-        return quad.match_key()
-    return tuple(quad)
-
-
 def score(preds: Sequence[Iterable], golds: Sequence[Example]) -> EvalReport:
     """Micro-averaged exact-match P/R/F1 of predictions against gold examples.
 
-    ``preds[i]`` is the predicted quad collection for ``golds[i]`` -- any
-    iterable of objects exposing ``match_key()`` (parsed or gold quads) or of
-    plain key tuples. Duplicate predictions collapse (set semantics).
+    ``preds[i]`` is the predicted quad collection for ``golds[i]``: any iterable
+    of parsed or gold quads, compared on their ``match_key()``. Duplicate
+    predictions collapse (set semantics).
     """
     if len(preds) != len(golds):
         raise ValueError(f"got {len(preds)} predictions for {len(golds)} gold examples")
@@ -108,26 +114,16 @@ def score(preds: Sequence[Iterable], golds: Sequence[Example]) -> EvalReport:
     totals = [0, 0, 0, 0]
     splits = [[0, 0, 0, 0] for _ in QuadType]
     for pred, gold in zip(preds, golds):
-        pred_keys = {_key(q) for q in pred}
+        pred_keys = {q.match_key() for q in pred}
         gold_keys = {q.match_key() for q in gold.quads}
         counts = (len(pred_keys), len(gold_keys), len(pred_keys & gold_keys), 1)
         types = {_quad_type_index(q) for q in gold.quads}
         for row in (totals, *(splits[t] for t in types)):
             row[:] = map(add, row, counts)
 
-    num_pred, num_gold, matched, _ = totals
-    precision, recall, f1 = _prf(matched, num_pred, num_gold)
-    per_split = {}
-    for t, (sp, sg, sm, examples) in zip(QuadType, splits):
-        p, r, f = _prf(sm, sp, sg)
-        per_split[t] = SplitScore(precision=p, recall=r, f1=f, num_examples=examples)
-
     return EvalReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        per_split=per_split,
-        counts=MatchCounts(num_predicted=num_pred, num_gold=num_gold, num_matched=matched),
+        counts=MatchCounts(*totals),
+        per_split={t: MatchCounts(*row) for t, row in zip(QuadType, splits)},
     )
 
 
@@ -168,9 +164,7 @@ class DatasetStats:
         return "\n".join(lines)
 
 
-def dataset_stats(
-    xs: Sequence[Example], num_categories_expected: int | None = None
-) -> DatasetStats:
+def dataset_stats(xs: Sequence[Example]) -> DatasetStats:
     """Per-type quad counts/percentages, sentence count and quads per sentence."""
     counts = {t: 0 for t in QuadType}
     categories: set[str] = set()
@@ -183,11 +177,6 @@ def dataset_stats(
         warnings.warn("dataset is empty; quads/sentence reported as 0", stacklevel=2)
     percentages = {t: (100.0 * counts[t] / total if total else 0.0) for t in QuadType}
     quads_per_sentence = total / len(xs) if xs else 0.0
-    if num_categories_expected is not None and num_categories_expected != len(categories):
-        warnings.warn(
-            f"dataset has {len(categories)} categories, expected {num_categories_expected}",
-            stacklevel=2,
-        )
     return DatasetStats(
         num_categories=len(categories),
         num_sentences=len(xs),

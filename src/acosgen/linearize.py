@@ -191,6 +191,4 @@ def order_quads(x: Example) -> list[Quadruple]:
 
 def linearize_example(x: Example, style: FormatStyle, category_map: CategoryMap) -> str:
     """Linearize an example's full quad set into one target string."""
-    if not x.quads:
-        raise ValueError(f"example {x.id!r} has no quadruples")
     return SSEP_JOINER.join(linearize_quad(q, style, category_map) for q in order_quads(x))

@@ -29,7 +29,9 @@ from acosgen.synth import make_synthetic_corpus
 from acosgen.verify import random_batch
 from acosgen.configs import default_category_map
 
-from test_evaluate import brute_force_prf, gold_example_for_keys, random_key, random_key_set
+from test_evaluate import (
+    brute_force_prf, gold_example_for_keys, random_key, random_key_set, score_keys,
+)
 
 DATA_DIR = Path(os.environ.get("ACOS_DATA_DIR", Path(__file__).resolve().parent.parent / "data"))
 
@@ -115,7 +117,7 @@ def test_dataset_statistics_published(dataset):
         pytest.skip(f"published {dataset} dataset not available offline")
     expected = EXPECTED_STATS[dataset]
     start = time.perf_counter()
-    stats = dataset_stats(examples, num_categories_expected=expected["categories"])
+    stats = dataset_stats(examples)
     elapsed = time.perf_counter() - start
     assert stats.num_sentences == expected["sentences"]
     assert stats.num_categories == expected["categories"]
@@ -193,7 +195,7 @@ def test_evaluator_oracle():
             if pred and rng.integers(4) == 0:
                 pred.append(pred[int(rng.integers(len(pred)))])
             preds.append(pred)
-        report = score(preds, golds)
+        report = score_keys(preds, golds)
         p, r, f1, matched = brute_force_prf(
             [list(dict.fromkeys(pred)) for pred in preds],
             [[q.match_key() for q in g.quads] for g in golds],

@@ -13,6 +13,7 @@ import pytest
 
 import acosgen
 from acosgen import cli
+from acosgen.linearize import FormatStyle
 from acosgen.scl import ReprBatch
 
 MODULES = ["acosgen", *(f"acosgen.{m.name}" for m in pkgutil.iter_modules(acosgen.__path__))]
@@ -56,6 +57,17 @@ def test_tracer_hooks_of_the_loss():
     for suite in (cli.oracle_suite, cli.gradient_suite):
         assert "loss_fn" in inspect.signature(suite).parameters
     assert [f.name for f in fields(ReprBatch)] == ["reps", "labels"]
+
+
+def test_tracer_reads_of_the_text_results(mini_examples, rest_map):
+    """The tracer's work counts read ``parse_output(...).quads`` and
+    ``score(...).counts.num_predicted``/``.num_gold``."""
+    x = mini_examples[2]
+    target = cli.linearize_example(x, FormatStyle.GEN_NAT, rest_map)
+    outcome = cli.parse_output(target, FormatStyle.GEN_NAT, rest_map)
+    assert len(outcome.quads) == 2
+    report = cli.score([outcome.quads], [x])
+    assert (report.counts.num_predicted, report.counts.num_gold) == (2, 2)
 
 
 def run_fresh(script: str, *args: str) -> list:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -21,7 +22,7 @@ def run(capsys, *argv):
 # Each command's options as its --help lists them; the top level lists the commands.
 HELP_OPTIONS = {
     (): ["--help"],
-    ("stats",): ["--help", "--dataset", "--expected-categories", "--json", "--out"],
+    ("stats",): ["--help", "--dataset", "--json", "--out"],
     ("linearize",): ["--help", "--dataset", "--category-map", "--style", "--out"],
     ("evaluate",): [
         "--help", "--dataset", "--predictions", "--category-map", "--style", "--json", "--out"
@@ -215,6 +216,34 @@ class TestEvaluate:
         payload = json.loads(out)
         assert payload["counts"] == {"predicted": 0, "gold": 0, "matched": 0}
         assert payload["dropped_segments"] == 0
+
+    def test_same_text_gold_quads_are_one_quad_in_every_command(self, capsys, tmp_path):
+        # Two gold quads that differ only in their spans: the loader keeps the first.
+        dataset = tmp_path / "pizza.tsv"
+        dataset.write_text(
+            "pizza good pizza\t0,1 FOOD#QUALITY 2 1,2\t2,3 FOOD#QUALITY 2 1,2\n", encoding="utf-8"
+        )
+        targets = tmp_path / "targets.txt"
+        outputs = []
+        for argv in (
+            ["stats", "--dataset", str(dataset), "--json"],
+            ["linearize", "--dataset", str(dataset), "--out", str(targets)],
+            ["evaluate", "--dataset", str(dataset), "--predictions", str(targets)],
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert [str(w.message) for w in caught] == [
+                f"dropped 1 duplicate quadruple(s) while loading {dataset}"
+            ]
+            outputs.append(out)
+        stats, _, evaluation = outputs
+        assert json.loads(stats)["total_quads"] == 1
+        assert targets.read_text(encoding="utf-8") == "the food quality | the pizza is good | positive\n"
+        assert evaluation.splitlines()[-2:] == [
+            "predicted=1 gold=1 matched=1", "dropped segments: 0"
+        ]
 
 
 class TestSclCheck:

@@ -16,7 +16,6 @@ from acosgen.core import (
     Quadruple,
     SentimentPolarity,
     Span,
-    _quad_key,
     characteristic_labels,
     load_dataset,
     parse_dataset_text,
@@ -341,21 +340,31 @@ class TestLoaderProperties:
 
     @settings(max_examples=200)
     @given(_fields_line())
+    @example("a a\t0,1 C 2 -1,-1\t1,2 C 2 -1,-1")
     def test_accepted_line_serializes_back_byte_for_byte(self, line):
+        # Less the fields the loader drops: a quad whose text an earlier field already gave.
+        sentence, *fields = line.split("\t")
         try:
-            loaded = parse_dataset_text(line)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                loaded = parse_dataset_text(line)
         except DatasetError:
             return
-        assert serialize_dataset(loaded) == line + "\n"
+        kept: dict[tuple, str] = {}
+        for field in fields:
+            (single,) = parse_dataset_text(f"{sentence}\t{field}")
+            kept.setdefault(single.quads[0].match_key(), field)
+        assert serialize_dataset(loaded) == "\t".join([sentence, *kept.values()]) + "\n"
 
     @settings(max_examples=200)
     @given(_repeating_line())
-    def test_raw_field_dedup_equals_dedup_under_quad_key(self, line):
+    @example("a b a\t0,1 C 2 1,2\t2,3  C 2 1,2\t 0,1 C 2 1,2\t2,3 C 1 1,2")
+    def test_dedup_under_match_key(self, line):
         sentence, *fields = line.split("\t")
         expected: dict[tuple, Quadruple] = {}
         for field in fields:
             (single,) = parse_dataset_text(f"{sentence}\t{field}")
-            expected.setdefault(_quad_key(single.quads[0]), single.quads[0])
+            expected.setdefault(single.quads[0].match_key(), single.quads[0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             (x,) = parse_dataset_text(line)
@@ -447,8 +456,9 @@ class TestCharacteristicLabels:
         assert labels == type(labels)(sentiment="neutral", aspect="all-implicit", opinion="all-implicit")
 
     def test_empty_quads_error(self):
-        x = Example(id="e", text="a", tokens=("a",), quads=())
+        # Example itself refuses an empty quad set, so no empty example reaches the labeller.
         with pytest.raises(ValueError, match="no quadruples"):
+            x = Example(id="e", text="a", tokens=("a",), quads=())
             characteristic_labels(x)
 
     def test_permutation_invariant(self, synth_corpus):
@@ -616,10 +626,21 @@ class TestTypes:
         )
         with pytest.raises(ValueError, match="duplicate quadruple"):
             Example(id="e", text="a b", tokens=("a", "b"), quads=(q, q))
+        # One quad under the scorer's identity, match_key(), whatever its spans.
+        same_text = replace(q, aspect_span=Span(2, 3))
+        with pytest.raises(ValueError, match="^duplicate quadruple in example 'e'$"):
+            Example(id="e", text="a b a", tokens=("a", "b", "a"), quads=(q, same_text))
         with pytest.raises(
             ValueError, match=r"^aspect text 'a' does not match span tokens 'b' in example 'e'$"
         ):
             Example(id="e", text="b a", tokens=("b", "a"), quads=(q,))
+
+    def test_example_rejects_empty_quads(self):
+        with pytest.raises(ValueError, match="^example 'e' has no quadruples$"):
+            Example(id="e", text="a", tokens=("a",), quads=())
+        x = example_from_line("a b\t0,1 C 2 -1,-1")
+        with pytest.raises(ValueError, match="^example 't-0001' has no quadruples$"):
+            replace(x, quads=())
 
     def test_sentiment_order(self):
         assert SentimentPolarity.NEGATIVE < SentimentPolarity.NEUTRAL < SentimentPolarity.POSITIVE

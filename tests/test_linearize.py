@@ -219,8 +219,9 @@ class TestLinearizeExample:
     def test_empty_quads_error(self, rest_map):
         from acosgen.core import Example
 
-        x = Example(id="e", text="a", tokens=("a",), quads=())
+        # Example itself refuses an empty quad set, so no empty example reaches the linearizer.
         with pytest.raises(ValueError, match="no quadruples"):
+            x = Example(id="e", text="a", tokens=("a",), quads=())
             linearize_example(x, FormatStyle.GEN_NAT, rest_map)
 
     def test_gen_nat_segment_shape(self, rest_map, synth_corpus):
