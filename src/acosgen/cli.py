@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from functools import cache
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .configs import resolve_category_map
+from .configs import DATASETS, resolve_category_map
 from .core import DatasetError, load_dataset
 from .evaluate import dataset_stats, score
 from .linearize import CategoryMapError, FormatStyle, linearize_example
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--category-map",
             default="rest",
-            help="shipped map name (rest, laptop, laptop-l1) or a TSV path",
+            help=f"shipped map name ({', '.join(DATASETS)}) or a TSV path",
         )
 
     def style_arg(p):
@@ -240,11 +241,15 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:  # DatasetError, CategoryMapError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Entering the block clears Python's once-per-location record, so every call shows its
+    # warnings. No filter is added: categories Python hides by default stay hidden.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except (OSError, ValueError) as exc:  # DatasetError, CategoryMapError are ValueErrors
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ categories from data, not from the map.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from ..linearize import CategoryMap
@@ -35,7 +34,7 @@ def _canonical(name: str) -> str:
 
 
 def default_category_map(dataset: str) -> CategoryMap:
-    return CategoryMap.from_tsv(resources.files(__package__) / _FILES[_canonical(dataset)])
+    return CategoryMap.from_tsv(Path(__file__).with_name(_FILES[_canonical(dataset)]))
 
 
 def resolve_category_map(spec: str) -> CategoryMap:
@@ -44,7 +43,4 @@ def resolve_category_map(spec: str) -> CategoryMap:
         return default_category_map(spec)
     except KeyError:
         pass
-    path = Path(spec)
-    if path.exists():
-        return CategoryMap.from_tsv(path)
-    raise FileNotFoundError(f"category map {spec!r}: not a shipped dataset name or existing file")
+    return CategoryMap.from_tsv(spec)

@@ -225,9 +225,10 @@ class Example:
     """A sentence with its non-empty, duplicate-free quadruple set.
 
     ``quads`` is stored in file order but is semantically an unordered set.
-    Direct construction checks that there is at least one quad, that no two
-    share a :meth:`Quadruple.match_key`, that every span lies within ``tokens``
-    and that each term text is its span's tokens joined by spaces. Examples
+    Direct construction checks that ``tokens`` is ``text`` split on whitespace,
+    that there is at least one quad, that no two share a
+    :meth:`Quadruple.match_key`, that every span lies within ``tokens`` and
+    that each term text is its span's tokens joined by spaces. Examples
     from the loader were checked there, and may share :class:`Span` instances.
     """
 
@@ -246,10 +247,10 @@ class Example:
         """Build an Example without running ``__post_init__``: the fields go straight
         into the slots, as :class:`Quadruple` stores its own.
 
-        Only for quads the caller has already validated against ``tokens``
-        exactly as ``__post_init__`` would: at least one, no two with one
-        :meth:`Quadruple.match_key`, every span within ``len(tokens)``, every
-        explicit term text equal to ``" ".join(tokens[span.start:span.end])``.
+        Only for ``tokens == tuple(text.split())`` and quads the caller has already
+        validated against them exactly as ``__post_init__`` would: at least one, no
+        two with one :meth:`Quadruple.match_key`, every span within ``len(tokens)``,
+        every explicit term text equal to ``" ".join(tokens[span.start:span.end])``.
         Copies and unpickled examples are built by the checked constructor.
         """
         x = object.__new__(cls)
@@ -261,6 +262,8 @@ class Example:
         return x
 
     def __post_init__(self) -> None:
+        if self.tokens != tuple(self.text.split()):
+            raise ValueError(f"tokens are not the text split on whitespace in example {self.id!r}")
         if not self.quads:
             raise ValueError(f"example {self.id!r} has no quadruples")
         seen = set()
@@ -336,8 +339,14 @@ class DatasetError(ValueError):
 
 def read_utf8(path: Path) -> str:
     """The file decoded as UTF-8 with line ends as stored (``Path.read_text`` would turn a
-    lone CR into LF), so that :func:`split_lines` alone decides where a line ends."""
-    data = path.read_bytes()
+    lone CR into LF), so that :func:`split_lines` alone decides where a line ends. Every
+    reader's file comes through here: each failure has one :class:`DatasetError` wording."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise DatasetError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -473,13 +482,7 @@ def parse_dataset_text(
 def load_dataset(path: str | Path) -> list[Example]:
     """Load a dataset TSV file; example ids are ``<file stem>-<line number>``."""
     path = Path(path)
-    try:
-        text = read_utf8(path)
-    except FileNotFoundError:
-        raise DatasetError(f"no such file: {path}") from None
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
-    return _warned(_parse_examples(text, path.stem, str(path)), str(path))
+    return _warned(_parse_examples(read_utf8(path), path.stem, str(path)), str(path))
 
 
 def _format_span(span: Span | _Implicit) -> str:

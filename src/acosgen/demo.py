@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -157,9 +156,7 @@ def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
     for char_index, characteristic in enumerate(CHARACTERISTICS):
         labels = [getattr(cl, characteristic) for cl in all_labels]
         if len(set(labels)) < 2:
-            reason = f"only one {characteristic} label present ({labels[0]!r})"
-            warnings.warn(reason, stacklevel=2)
-            skipped[characteristic] = reason
+            skipped[characteristic] = f"only one {characteristic} label present ({labels[0]!r})"
             continue
         alpha = cfg.alpha[char_index]
         head_rng = np.random.default_rng(_derived_seed(cfg.rng_seed, characteristic, "init"))

@@ -10,7 +10,6 @@ all quads of member examples counted, so splits overlap.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
@@ -173,8 +172,6 @@ def dataset_stats(xs: Sequence[Example]) -> DatasetStats:
             counts[quad_type(q)] += 1
             categories.add(q.category)
     total = sum(counts.values())
-    if not xs:
-        warnings.warn("dataset is empty; quads/sentence reported as 0", stacklevel=2)
     percentages = {t: (100.0 * counts[t] / total if total else 0.0) for t in QuadType}
     quads_per_sentence = total / len(xs) if xs else 0.0
     return DatasetStats(

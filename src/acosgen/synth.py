@@ -16,26 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .configs import default_category_map
 from .core import IMPLICIT, Example, Quadruple, SentimentPolarity, Span
 
-__all__ = ["REST_CATEGORIES", "make_synthetic_corpus"]
-
-# Category label set of the restaurant-domain ACOS release.
-REST_CATEGORIES = (
-    "AMBIENCE#GENERAL",
-    "DRINKS#PRICES",
-    "DRINKS#QUALITY",
-    "DRINKS#STYLE_OPTIONS",
-    "FOOD#GENERAL",
-    "FOOD#PRICES",
-    "FOOD#QUALITY",
-    "FOOD#STYLE_OPTIONS",
-    "LOCATION#GENERAL",
-    "RESTAURANT#GENERAL",
-    "RESTAURANT#MISCELLANEOUS",
-    "RESTAURANT#PRICES",
-    "SERVICE#GENERAL",
-)
+__all__ = ["make_synthetic_corpus"]
 
 _ASPECT_TERMS = (
     "pizza",
@@ -131,6 +115,7 @@ def make_synthetic_corpus(n: int, seed: int) -> list[Example]:
     """Generate ``n`` examples with 1-3 quads each, deterministic given ``seed``."""
     if n < len(_LABEL_SCHEDULE):
         raise ValueError(f"need at least {len(_LABEL_SCHEDULE)} examples to cover all labels")
+    categories = default_category_map("rest").labels  # in file order: the draws index it
     rng = np.random.default_rng(seed)
     examples: list[Example] = []
     for i in range(n):
@@ -148,8 +133,8 @@ def make_synthetic_corpus(n: int, seed: int) -> list[Example]:
         opinion_flags = _quad_flags(opinion_label, n_quads, rng)
         sentiments = _quad_sentiments(sent_label, n_quads, rng)
         # Distinct categories per quad keep match keys unique within the example.
-        picks = rng.choice(len(REST_CATEGORIES), size=n_quads, replace=False)
-        quad_categories = [REST_CATEGORIES[int(k)] for k in picks]
+        picks = rng.choice(len(categories), size=n_quads, replace=False)
+        quad_categories = [categories[int(k)] for k in picks]
 
         tokens: list[str] = [_choose(rng, _FILLERS) for _ in range(int(rng.integers(1, 3)))]
         quads: list[Quadruple] = []

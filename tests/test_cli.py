@@ -1,7 +1,6 @@
 import argparse
 import json
 import re
-import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -94,6 +93,15 @@ class TestStats:
 
     def test_parser_built_once(self):
         assert _build_parser() is _build_parser()
+
+    def test_warning_is_one_stderr_line_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("a b\t0,1 C 2 1,2\t0,1 C 2 1,2\n", encoding="utf-8")
+        for _ in range(2):  # Python would show a repeated warning once per location
+            code, _, err = run(capsys, "stats", "--dataset", str(path))
+            assert (code, err) == (
+                0, f"warning: dropped 1 duplicate quadruple(s) while loading {path}\n"
+            )
 
 
 class TestLinearize:
@@ -202,6 +210,18 @@ class TestEvaluate:
         assert code == 2
         assert "1 lines for 3 gold" in err
 
+    @pytest.mark.parametrize("flag", ["--predictions", "--category-map"])
+    def test_file_failures_worded_as_for_the_dataset(self, capsys, mini_dataset_file, tmp_path, flag):
+        gold = str(mini_dataset_file)
+        for path, message in [
+            (tmp_path / "nope", f"no such file: {tmp_path / 'nope'}"),
+            (tmp_path, f"cannot read {tmp_path}: Is a directory"),
+        ]:
+            # A repeated flag's last value wins, so ``flag`` names the file under test.
+            argv = ["evaluate", "--dataset", gold, "--predictions", gold, flag, str(path)]
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, f"error: {message}\n"), path
+
     def test_empty_dataset_gives_zero_lines_and_counts(self, capsys, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
@@ -230,13 +250,9 @@ class TestEvaluate:
             ["linearize", "--dataset", str(dataset), "--out", str(targets)],
             ["evaluate", "--dataset", str(dataset), "--predictions", str(targets)],
         ):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code, out, _ = run(capsys, *argv)
+            code, out, err = run(capsys, *argv)
             assert code == 0, argv
-            assert [str(w.message) for w in caught] == [
-                f"dropped 1 duplicate quadruple(s) while loading {dataset}"
-            ]
+            assert err == f"warning: dropped 1 duplicate quadruple(s) while loading {dataset}\n"
             outputs.append(out)
         stats, _, evaluation = outputs
         assert json.loads(stats)["total_quads"] == 1
@@ -324,7 +340,6 @@ class TestSclDemo:
         assert json.loads(out)["steps"] == 3
 
 
-@pytest.mark.filterwarnings("ignore:only one")
 def test_every_json_command_prints_strict_json(capsys, mini_dataset_file, tmp_path):
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")

@@ -23,7 +23,9 @@ from acosgen.core import (
     serialize_dataset,
     split_lines,
 )
-from acosgen.parse import PredictedQuad
+from acosgen.configs import default_category_map
+from acosgen.linearize import CategoryMap
+from acosgen.parse import PredictedQuad, read_predictions
 
 from conftest import MINI_DATASET, example_from_line
 
@@ -124,6 +126,20 @@ class TestLoading:
     def test_unreadable_path_raises_dataset_error(self, tmp_path):
         with pytest.raises(DatasetError, match=f"^cannot read {re.escape(str(tmp_path))}: "):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "read", [read_predictions, CategoryMap.from_tsv], ids=["predictions", "category-map"]
+    )
+    def test_other_readers_word_file_failures_as_the_loader(self, tmp_path, read):
+        missing, bad = tmp_path / "nope", tmp_path / "bad"
+        bad.write_bytes(b"A\tok\ncaf\xe9\n")
+        for path, message in [
+            (missing, f"no such file: {missing}"),
+            (tmp_path, f"cannot read {tmp_path}: "),
+            (bad, f"{bad}:2: not valid UTF-8 (byte 0xe9)"),
+        ]:
+            with pytest.raises(DatasetError, match="^" + re.escape(message)):
+                read(path)
 
     def test_loaded_examples_share_spans(self):
         a, b = parse_dataset_text("a b c\t0,1 C 2 -1,-1\nd e\t0,1 D 1 -1,-1\n")
@@ -387,6 +403,10 @@ class TestLoaderProperties:
         )
         assert exc.value.line == 2
 
+    def test_synthetic_categories_are_rest_map_labels(self, synth_corpus):
+        labels = set(default_category_map("rest").labels)
+        assert {q.category for x in synth_corpus for q in x.quads} <= labels
+
     def test_synthetic_corpus_round_trips(self, synth_corpus):
         loaded = parse_dataset_text(serialize_dataset(synth_corpus))
         assert [(x.text, x.tokens, x.quads) for x in loaded] == [
@@ -532,7 +552,8 @@ class TestTypes:
             (Quadruple(Span(0, 1), "a", "C", IMPLICIT, "", SentimentPolarity.POSITIVE),
              "category", "D"),
             (PredictedQuad("a", "C", IMPLICIT, SentimentPolarity.NEGATIVE), "opinion", "b"),
-            (example_from_line("a b\t0,1 C 2 -1,-1"), "text", "b a"),
+            # Another text with the same whitespace split: tokens must be the text's split.
+            (example_from_line("b  a\t0,1 C 2 -1,-1"), "text", "b a"),
         ],
     )
     def test_value_types_are_slotted_frozen_values(self, value, field, other):
@@ -634,6 +655,15 @@ class TestTypes:
             ValueError, match=r"^aspect text 'a' does not match span tokens 'b' in example 'e'$"
         ):
             Example(id="e", text="b a", tokens=("b", "a"), quads=(q,))
+
+    def test_example_rejects_tokens_that_are_not_its_text(self):
+        q = Quadruple(Span(2, 3), "z", "C", IMPLICIT, "", SentimentPolarity.POSITIVE)
+        for text, tokens in [("a b", ("x", "y", "z")), ("a b", ("a b",)), ("a  b", ("a", "", "b"))]:
+            with pytest.raises(
+                ValueError, match="^tokens are not the text split on whitespace in example 'e'$"
+            ):
+                Example(id="e", text=text, tokens=tokens, quads=(q,))
+        Example(id="e", text=" x\ty  z ", tokens=("x", "y", "z"), quads=(q,))  # any whitespace
 
     def test_example_rejects_empty_quads(self):
         with pytest.raises(ValueError, match="^example 'e' has no quadruples$"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,17 +69,18 @@ class TestToyDemo:
             "i j k l\t-1,-1 C0 2 -1,-1",
         ]
         corpus = [example_from_line(line, f"p{i}") for i, line in enumerate(lines)]
-        with pytest.warns(UserWarning, match="sentiment"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the report is the skip's one record
             result = toy_demo(corpus, SclConfig(rng_seed=0), steps=5)
-        assert "sentiment" in result.skipped
+        assert result.skipped == {"sentiment": "only one sentiment label present ('positive')"}
         assert "aspect" in result.stats
 
     def test_undefined_statistics_are_null_in_dict(self):
         # One example per sentiment: no same-label pair, so the intra mean is NaN.
         lines = ["a b c d\t0,1 C0 2 1,2", "e f g h\t0,1 C0 0 1,2"]
         corpus = [example_from_line(line, f"n{i}") for i, line in enumerate(lines)]
-        with pytest.warns(UserWarning):
-            result = toy_demo(corpus, SclConfig(rng_seed=0), steps=2)
+        result = toy_demo(corpus, SclConfig(rng_seed=0), steps=2)
+        assert set(result.skipped) == {"aspect", "opinion"}
         assert math.isnan(result.stats["sentiment"].intra_before)
         row = result.to_dict()["characteristics"]["sentiment"]
         for key in ("intra_before", "gap_before", "intra_after", "gap_after"):
@@ -109,8 +111,7 @@ class TestExport:
     def test_no_trained_characteristic_writes_empty_file(self, tmp_path):
         lines = ["a b c d\t0,1 C0 2 1,2", "e f g h\t0,1 C1 2 1,2"]
         corpus = [example_from_line(line, f"s{i}") for i, line in enumerate(lines)]
-        with pytest.warns(UserWarning):
-            result = toy_demo(corpus, SclConfig(rng_seed=0), steps=2)
+        result = toy_demo(corpus, SclConfig(rng_seed=0), steps=2)
         assert set(result.skipped) == {"sentiment", "aspect", "opinion"}
         path = tmp_path / "reps.tsv"
         export_representations(result, path)
