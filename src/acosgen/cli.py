@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from functools import cache
@@ -49,6 +50,12 @@ def __getattr__(name: str):
     """Import a contrastive-half name on first use and bind it on this module (PEP 562)."""
     if name not in _SCL_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if "numpy" not in sys.modules:
+        # One BLAS thread unless the user chose a count: scl-demo trains two heads on two
+        # threads, and an idle OpenBLAS worker spins against them. One count also fixes the
+        # GEMMs' reduction order, so the output does not depend on the machine's cores.
+        # OpenBLAS reads the variable once, when numpy loads it; after that it is not touched.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     globals()[name] = value = getattr(import_module(_SCL_NAMES[name], __package__), name)
     return value
 
@@ -180,14 +187,15 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    golds = load_dataset(args.dataset)
+    # Predictions and map first: a bad one fails before the gold file is parsed and checked.
     predictions = read_predictions(args.predictions)
+    category_map = resolve_category_map(args.category_map)
+    style = FormatStyle(args.style)
+    golds = load_dataset(args.dataset)
     if len(predictions) != len(golds):
         raise DatasetError(
             f"predictions file has {len(predictions)} lines for {len(golds)} gold examples"
         )
-    category_map = resolve_category_map(args.category_map)
-    style = FormatStyle(args.style)
     outcomes = [parse_output(line, style, category_map) for line in predictions]
     report = score([o.quads for o in outcomes], golds)
     dropped = sum(o.dropped for o in outcomes)
@@ -247,7 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return _COMMANDS[args.command](args)
-        except (OSError, ValueError) as exc:  # DatasetError, CategoryMapError are ValueErrors
+        # DatasetError and CategoryMapError are ValueErrors; a Warning is raised only when
+        # the interpreter's warning filter says "error" (python -W error, PYTHONWARNINGS).
+        except (OSError, ValueError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
+import acosgen
 from acosgen.configs import default_category_map
 from acosgen.core import parse_dataset_text
 from acosgen.synth import make_synthetic_corpus
@@ -16,6 +20,18 @@ MINI_DATASET = (
     "the pizza was great but the wine list was poor\t"
     "1,2 FOOD#QUALITY 2 3,4\t6,8 DRINKS#STYLE_OPTIONS 0 9,10\n"
 )
+
+
+def fresh_env(**changes: str | None) -> dict[str, str]:
+    """This process's environment with this ``acosgen`` first on the path; a ``None`` change unsets."""
+    src = str(Path(acosgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
 
 
 def example_from_line(line: str, id_prefix: str = "t"):

@@ -1,7 +1,6 @@
 import importlib
 import inspect
 import json
-import os
 import pkgutil
 import subprocess
 import sys
@@ -15,6 +14,8 @@ import acosgen
 from acosgen import cli
 from acosgen.linearize import FormatStyle
 from acosgen.scl import ReprBatch
+
+from conftest import fresh_env
 
 MODULES = ["acosgen", *(f"acosgen.{m.name}" for m in pkgutil.iter_modules(acosgen.__path__))]
 
@@ -70,13 +71,11 @@ def test_tracer_reads_of_the_text_results(mini_examples, rest_map):
     assert (report.counts.num_predicted, report.counts.num_gold) == (2, 2)
 
 
-def run_fresh(script: str, *args: str) -> list:
+def run_fresh(script: str, *args: str, **env_changes: str | None) -> list:
     """Run ``script`` in a new interpreter importing this ``acosgen``; return its JSON stdout."""
-    src = str(Path(acosgen.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script), *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=fresh_env(**env_changes), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -103,6 +102,37 @@ def test_text_commands_do_not_import_numpy(mini_dataset_file, tmp_path):
     """
     targets = tmp_path / "targets.txt"
     assert run_fresh(script, str(mini_dataset_file), str(targets)) == [[0] * 5, False, 0]
+
+
+def test_cli_fills_in_one_blas_thread_before_it_imports_numpy():
+    """Unset, OPENBLAS_NUM_THREADS becomes 1 when the CLI first imports numpy. A value the user
+    set stays, and a caller that imported numpy first keeps its environment as it was."""
+    script = """
+        import contextlib, io, json, os, sys
+        import acosgen.cli
+
+        if sys.argv[1] == "numpy-first":
+            import numpy
+        before = dict(os.environ)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = acosgen.cli.main(["scl-demo", "--synthetic", "8", "--steps", "1"])
+        changed = {k: v for k, v in os.environ.items() if before.get(k) != v}
+        print(json.dumps([code, changed, len(os.environ) - len(before)]))
+    """
+    assert run_fresh(script, "cli-first", OPENBLAS_NUM_THREADS=None) == [0, {"OPENBLAS_NUM_THREADS": "1"}, 1]
+    assert run_fresh(script, "numpy-first", OPENBLAS_NUM_THREADS=None) == [0, {}, 0]
+    assert run_fresh(script, "cli-first", OPENBLAS_NUM_THREADS="3") == [0, {}, 0]
+
+
+def test_scl_demo_output_does_not_depend_on_an_unset_blas_thread_count():
+    # 200 rows: GEMMs large enough that a multi-threaded OpenBLAS changes the last digits.
+    argv = [sys.executable, "-m", "acosgen.cli", "scl-demo", "--json", "--synthetic", "200", "--steps", "5"]
+    unset, one = (
+        subprocess.run(argv, capture_output=True, env=fresh_env(OPENBLAS_NUM_THREADS=value), timeout=300)
+        for value in (None, "1")
+    )
+    assert (unset.returncode, unset.stderr) == (0, b"")
+    assert unset.stdout == one.stdout
 
 
 def test_package_serves_the_contrastive_half_on_first_use():

@@ -1,6 +1,8 @@
 import argparse
 import json
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -9,7 +11,9 @@ from acosgen import cli
 from acosgen.cli import _build_parser, _demo_config, main
 from acosgen.scl import SclConfig
 
-from conftest import MINI_DATASET
+from conftest import fresh_env
+
+DUPLICATE_QUAD_LINE = "a b\t0,1 C 2 1,2\t0,1 C 2 1,2\n"
 
 
 def run(capsys, *argv):
@@ -96,7 +100,7 @@ class TestStats:
 
     def test_warning_is_one_stderr_line_on_every_call(self, capsys, tmp_path):
         path = tmp_path / "dup.tsv"
-        path.write_text("a b\t0,1 C 2 1,2\t0,1 C 2 1,2\n", encoding="utf-8")
+        path.write_text(DUPLICATE_QUAD_LINE, encoding="utf-8")
         for _ in range(2):  # Python would show a repeated warning once per location
             code, _, err = run(capsys, "stats", "--dataset", str(path))
             assert (code, err) == (
@@ -222,6 +226,16 @@ class TestEvaluate:
             code, _, err = run(capsys, *argv)
             assert (code, err) == (2, f"error: {message}\n"), path
 
+    @pytest.mark.parametrize("flag", ["--predictions", "--category-map"])
+    def test_bad_predictions_or_map_fail_before_the_gold_file_is_read(self, capsys, tmp_path, flag):
+        # The gold file would warn about its duplicate quad if it were parsed first.
+        gold = tmp_path / "dup.tsv"
+        gold.write_text(DUPLICATE_QUAD_LINE, encoding="utf-8")
+        missing = tmp_path / "nope"
+        argv = ["evaluate", "--dataset", str(gold), "--predictions", str(gold), flag, str(missing)]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, f"error: no such file: {missing}\n")
+
     def test_empty_dataset_gives_zero_lines_and_counts(self, capsys, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
@@ -338,6 +352,20 @@ class TestSclDemo:
         )
         assert code == 0
         assert json.loads(out)["steps"] == 3
+
+
+@pytest.mark.parametrize("command", ["stats", "linearize", "evaluate"])
+def test_warning_raised_as_error_is_one_error_line_exit_2(tmp_path, command):
+    """Under PYTHONWARNINGS=error the loader's warning is raised; the CLI reports it as a
+    usage-level error (exit 2, one line), never as a traceback with exit 1."""
+    dup = tmp_path / "dup.tsv"
+    dup.write_text(DUPLICATE_QUAD_LINE, encoding="utf-8")
+    argv = ["--dataset", str(dup)] + (["--predictions", str(dup)] if command == "evaluate" else [])
+    done = subprocess.run([sys.executable, "-m", "acosgen.cli", command, *argv], capture_output=True,
+                          text=True, env=fresh_env(PYTHONWARNINGS="error"), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: dropped 1 duplicate quadruple(s) while loading {dup}\n"
+    )
 
 
 def test_every_json_command_prints_strict_json(capsys, mini_dataset_file, tmp_path):
