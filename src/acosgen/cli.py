@@ -15,14 +15,13 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from functools import cache
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .configs import DATASETS, resolve_category_map
-from .core import DatasetError, load_dataset
+from .core import DatasetError, Example, load_dataset
 from .evaluate import dataset_stats, score
 from .linearize import CategoryMapError, FormatStyle, linearize_example
 from .parse import parse_output, read_predictions
@@ -165,15 +164,25 @@ def _demo_config(args) -> SclConfig:
     return _cli.SclConfig(**{field: v for field, v in given.items() if v is not None})
 
 
+def _load(path: str) -> tuple[list[Example], int]:
+    """``load_dataset(path)``, after a ``warning:`` line on stderr if it dropped duplicates."""
+    examples, duplicates = load_dataset(path)
+    if duplicates:
+        print(f"warning: dropped {duplicates} duplicate quadruple(s) while loading {Path(path)}",
+              file=sys.stderr)
+    return examples, duplicates
+
+
 def _cmd_stats(args) -> int:
-    examples = load_dataset(args.dataset)
+    examples, duplicates = _load(args.dataset)
     stats = dataset_stats(examples)
-    _emit([json.dumps(stats.to_dict(), indent=2) if args.json else stats.to_text()], args.out)
+    payload = {**stats.to_dict(), "duplicates_dropped": duplicates}
+    _emit([json.dumps(payload, indent=2) if args.json else stats.to_text()], args.out)
     return 0
 
 
 def _cmd_linearize(args) -> int:
-    examples = load_dataset(args.dataset)
+    examples, _ = _load(args.dataset)
     category_map = resolve_category_map(args.category_map)
     style = FormatStyle(args.style)
     lines = []
@@ -191,7 +200,7 @@ def _cmd_evaluate(args) -> int:
     predictions = read_predictions(args.predictions)
     category_map = resolve_category_map(args.category_map)
     style = FormatStyle(args.style)
-    golds = load_dataset(args.dataset)
+    golds, duplicates = _load(args.dataset)
     if len(predictions) != len(golds):
         raise DatasetError(
             f"predictions file has {len(predictions)} lines for {len(golds)} gold examples"
@@ -200,8 +209,8 @@ def _cmd_evaluate(args) -> int:
     report = score([o.quads for o in outcomes], golds)
     dropped = sum(o.dropped for o in outcomes)
     if args.json:
-        payload = report.to_dict()
-        payload["dropped_segments"] = dropped
+        payload = {**report.to_dict(), "dropped_segments": dropped,
+                   "duplicates_dropped": duplicates}
         _emit([json.dumps(payload, indent=2)], args.out)
     else:
         _emit([report.to_text(), f"dropped segments: {dropped}"], args.out)
@@ -228,7 +237,7 @@ def _cmd_scl_check(args) -> int:
 def _cmd_scl_demo(args) -> int:
     cfg = _demo_config(args)
     if args.dataset:
-        corpus = load_dataset(args.dataset)
+        corpus, _ = _load(args.dataset)
     else:
         corpus = _cli.make_synthetic_corpus(args.synthetic, seed=cfg.rng_seed)
     result = _cli.toy_demo(corpus, cfg, args.steps)
@@ -249,17 +258,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # Entering the block clears Python's once-per-location record, so every call shows its
-    # warnings. No filter is added: categories Python hides by default stay hidden.
-    with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        try:
-            return _COMMANDS[args.command](args)
-        # DatasetError and CategoryMapError are ValueErrors; a Warning is raised only when
-        # the interpreter's warning filter says "error" (python -W error, PYTHONWARNINGS).
-        except (OSError, ValueError, Warning) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:  # DatasetError and CategoryMapError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,18 +22,17 @@ sentinel "-1,-1" marks an implicit term; sentiment codes are
 A quad's identity is its :meth:`Quadruple.match_key`, the text the scorer compares:
 two quads with the same aspect text, category, opinion text and sentiment are one
 quad, whatever their spans. An :class:`Example` holds at least one quad and no two
-with one key; the loader keeps the first of such quads and counts the rest in one
-warning. Every quad is built by the one checked :class:`Quadruple` constructor, in
-one pass: its ``__init__`` checks the arguments, then stores each through the class's
-slot descriptor (past the frozen ``__setattr__``). Distinct span strings and sentiment
-codes are parsed once (a bounded memo). The loader enforces every :class:`Example`
-check itself, so it builds each example unchecked; directly constructed examples are
-checked in full.
+with one key; the loader keeps the first of such quads and returns the number of the
+rest beside its examples. Every quad is built by the one checked :class:`Quadruple`
+constructor, in one pass: its ``__init__`` checks the arguments, then stores each
+through the class's slot descriptor (past the frozen ``__setattr__``). Distinct span
+strings and sentiment codes are parsed once (a bounded memo). The loader enforces
+every :class:`Example` check itself, so it builds each example unchecked; directly
+constructed examples are checked in full.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -435,8 +434,11 @@ def _parse_quad_field(parts: tuple[str, ...], field: str, tokens: Sequence[str])
     return Quadruple(aspect_span, aspect_text, category, opinion_span, opinion_text, sentiment)
 
 
-def _parse_examples(text: str, id_prefix: str, path: str | None) -> tuple[list[Example], int]:
-    """The examples of dataset TSV ``text`` and the number of duplicate quads dropped."""
+def parse_dataset_text(
+    text: str, *, id_prefix: str = "ex", path: str | None = None
+) -> tuple[list[Example], int]:
+    """The examples of dataset TSV ``text`` and the number of duplicate quads dropped.
+    See the module docstring for the layout."""
     examples: list[Example] = []
     duplicates = 0
     for line_no, line in enumerate(split_lines(text), start=1):
@@ -463,26 +465,11 @@ def _parse_examples(text: str, id_prefix: str, path: str | None) -> tuple[list[E
     return examples, duplicates
 
 
-def _warned(parsed: tuple[list[Example], int], path: str | None) -> list[Example]:
-    """``parsed``'s examples, after warning of its dropped duplicates at the loader's caller."""
-    examples, duplicates = parsed
-    if duplicates:
-        message = f"dropped {duplicates} duplicate quadruple(s) while loading {path or 'dataset'}"
-        warnings.warn(message, stacklevel=3)
-    return examples
-
-
-def parse_dataset_text(
-    text: str, *, id_prefix: str = "ex", path: str | None = None
-) -> list[Example]:
-    """Parse dataset TSV content into examples. See module docstring for layout."""
-    return _warned(_parse_examples(text, id_prefix, path), path)
-
-
-def load_dataset(path: str | Path) -> list[Example]:
-    """Load a dataset TSV file; example ids are ``<file stem>-<line number>``."""
+def load_dataset(path: str | Path) -> tuple[list[Example], int]:
+    """Load a dataset TSV file as :func:`parse_dataset_text` does; example ids are
+    ``<file stem>-<line number>``."""
     path = Path(path)
-    return _warned(_parse_examples(read_utf8(path), path.stem, str(path)), str(path))
+    return parse_dataset_text(read_utf8(path), id_prefix=path.stem, path=str(path))
 
 
 def _format_span(span: Span | _Implicit) -> str:

@@ -18,7 +18,7 @@ Disambiguation rules (validated corpus-wide by the round-trip tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -79,9 +79,8 @@ class ParseOutcome:
 
     __reduce__ = _reduce_to_fields
 
-    quads: list[PredictedQuad] = field(default_factory=list)
-    dropped: int = 0
-    warnings: list[str] = field(default_factory=list)
+    quads: list[PredictedQuad]
+    dropped: int
 
 
 class _SegmentError(ValueError):
@@ -151,37 +150,31 @@ def parse_output(s: str, style: FormatStyle, category_map: CategoryMap) -> Parse
     """Parse one generated output string into a duplicate-free quad list.
 
     Never raises on malformed input: each ``[SSEP]``-delimited segment either
-    yields a quad or is dropped with a warning. A blank/whitespace string is
-    an empty prediction (zero segments).
+    yields a quad or is dropped and counted. A quad whose match key an earlier
+    segment gave is not kept again, nor counted as dropped. A blank/whitespace
+    string is an empty prediction (zero segments).
     """
-    outcome = ParseOutcome()
     if not s.strip():
-        return outcome
+        return ParseOutcome([], 0)
     if style is FormatStyle.GEN_NAT:
         parse_segment = _parse_gen_nat_segment
     elif style is FormatStyle.PARAPHRASE:
         parse_segment = _parse_paraphrase_segment
     else:
         raise ValueError(f"unknown format style {style!r}")
-
-    seen: set[tuple] = set()
-    for idx, raw_segment in enumerate(s.split(QUAD_SEPARATOR)):
+    quads: dict[tuple, PredictedQuad] = {}  # by match key: the first of each kept
+    dropped = 0
+    for raw_segment in s.split(QUAD_SEPARATOR):
         segment = raw_segment.strip()
         try:
             if not segment:
                 raise _SegmentError("empty segment")
             quad = parse_segment(segment, category_map)
-        except _SegmentError as exc:
-            outcome.dropped += 1
-            outcome.warnings.append(f"segment {idx}: {exc}")
+        except _SegmentError:
+            dropped += 1
             continue
-        key = quad.match_key()
-        if key in seen:
-            outcome.warnings.append(f"segment {idx}: duplicate quadruple dropped")
-            continue
-        seen.add(key)
-        outcome.quads.append(quad)
-    return outcome
+        quads.setdefault(quad.match_key(), quad)
+    return ParseOutcome(list(quads.values()), dropped)
 
 
 def read_predictions(path: str | Path) -> list[str]:

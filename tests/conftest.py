@@ -36,7 +36,8 @@ def fresh_env(**changes: str | None) -> dict[str, str]:
 
 def example_from_line(line: str, id_prefix: str = "t"):
     """Build a single Example from one dataset TSV line."""
-    return parse_dataset_text(line, id_prefix=id_prefix)[0]
+    examples, _ = parse_dataset_text(line, id_prefix=id_prefix)
+    return examples[0]
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +52,8 @@ def laptop_map():
 
 @pytest.fixture(scope="session")
 def mini_examples():
-    return parse_dataset_text(MINI_DATASET, id_prefix="mini")
+    examples, _ = parse_dataset_text(MINI_DATASET, id_prefix="mini")
+    return examples
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ import pytest
 
 from acosgen import cli
 from acosgen.cli import _build_parser, _demo_config, main
+from acosgen.core import load_dataset
+from acosgen.evaluate import dataset_stats, score
 from acosgen.scl import SclConfig
 
 from conftest import fresh_env
@@ -101,7 +103,7 @@ class TestStats:
     def test_warning_is_one_stderr_line_on_every_call(self, capsys, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text(DUPLICATE_QUAD_LINE, encoding="utf-8")
-        for _ in range(2):  # Python would show a repeated warning once per location
+        for _ in range(2):  # one line per call, however often the same file is loaded
             code, _, err = run(capsys, "stats", "--dataset", str(path))
             assert (code, err) == (
                 0, f"warning: dropped 1 duplicate quadruple(s) while loading {path}\n"
@@ -354,18 +356,41 @@ class TestSclDemo:
         assert json.loads(out)["steps"] == 3
 
 
-@pytest.mark.parametrize("command", ["stats", "linearize", "evaluate"])
-def test_warning_raised_as_error_is_one_error_line_exit_2(tmp_path, command):
-    """Under PYTHONWARNINGS=error the loader's warning is raised; the CLI reports it as a
-    usage-level error (exit 2, one line), never as a traceback with exit 1."""
+@pytest.mark.parametrize("command", ["stats", "linearize", "evaluate", "scl-demo"])
+def test_warnings_as_errors_change_nothing(tmp_path, command):
+    """The loader's duplicate count is a value, not a Python warning: under PYTHONWARNINGS=error
+    each command exits, prints and warns exactly as it does without it."""
     dup = tmp_path / "dup.tsv"
     dup.write_text(DUPLICATE_QUAD_LINE, encoding="utf-8")
-    argv = ["--dataset", str(dup)] + (["--predictions", str(dup)] if command == "evaluate" else [])
-    done = subprocess.run([sys.executable, "-m", "acosgen.cli", command, *argv], capture_output=True,
-                          text=True, env=fresh_env(PYTHONWARNINGS="error"), timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        2, "", f"error: dropped 1 duplicate quadruple(s) while loading {dup}\n"
-    )
+    argv = [command, "--dataset", str(dup)]
+    argv += {"evaluate": ["--predictions", str(dup)], "scl-demo": ["--steps", "2"]}.get(command, [])
+    runs = [
+        subprocess.run([sys.executable, "-m", "acosgen.cli", *argv], capture_output=True,
+                       text=True, env=fresh_env(PYTHONWARNINGS=warnings), timeout=120)
+        for warnings in (None, "error")
+    ]
+    plain, as_errors = [(done.returncode, done.stdout, done.stderr) for done in runs]
+    # linearize then fails on the rest map, which has no category C.
+    assert plain[0] == (2 if command == "linearize" else 0)
+    assert plain[2].startswith(f"warning: dropped 1 duplicate quadruple(s) while loading {dup}\n")
+    assert as_errors == plain
+
+
+@pytest.mark.parametrize("command", ["stats", "evaluate"])
+def test_json_ends_with_duplicates_dropped(capsys, mini_dataset_file, tmp_path, command):
+    dup = tmp_path / "dup.tsv"
+    dup.write_text(DUPLICATE_QUAD_LINE, encoding="utf-8")
+    for path, duplicates in [(mini_dataset_file, 0), (dup, 1)]:
+        examples, _ = load_dataset(path)
+        if command == "stats":
+            argv, earlier = [], dataset_stats(examples).to_dict()
+        else:  # each dataset line, read as a prediction, is one garbage segment
+            argv = ["--predictions", str(path)]
+            earlier = {**score([[]] * len(examples), examples).to_dict(),
+                       "dropped_segments": len(examples)}
+        code, out, _ = run(capsys, command, "--dataset", str(path), *argv, "--json")
+        assert code == 0
+        assert list(json.loads(out).items()) == [*earlier.items(), ("duplicates_dropped", duplicates)]
 
 
 def test_every_json_command_prints_strict_json(capsys, mini_dataset_file, tmp_path):

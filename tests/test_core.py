@@ -1,7 +1,6 @@
 import copy
 import pickle
 import re
-import warnings
 from dataclasses import FrozenInstanceError, fields as dataclass_fields, replace
 
 import pytest
@@ -84,15 +83,8 @@ class TestLoading:
         line = "a b\t0,1 C 2 1,2\t0,1 C 2 1,2\n"
         path = tmp_path / "dup.tsv"
         path.write_text(line, encoding="utf-8")
-        for load in (lambda: parse_dataset_text(line), lambda: load_dataset(path)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                (x,) = load()
-            assert len(x.quads) == 1
-            assert [w.category for w in caught] == [UserWarning]
-            assert "dropped 1 duplicate quadruple(s)" in str(caught[0].message)
-            # Reported at the caller's line, not inside the library.
-            assert caught[0].filename == __file__
+        for (x,), duplicates in (parse_dataset_text(line), load_dataset(path)):
+            assert (len(x.quads), duplicates) == (1, 1)
 
     def test_term_with_separator_rejected(self):
         with pytest.raises(DatasetError, match="reserved separator"):
@@ -101,7 +93,7 @@ class TestLoading:
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "test.tsv"
         path.write_bytes(MINI_DATASET.replace("\n", "\r\n").encode("utf-8"))
-        examples = load_dataset(path)
+        examples, _ = load_dataset(path)
         assert len(examples) == 3
         assert examples[0].id == "test-0001"
 
@@ -112,7 +104,7 @@ class TestLoading:
     def test_lone_cr_in_file_stays_in_its_line(self, tmp_path):
         path = tmp_path / "cr.tsv"
         path.write_bytes(b"a\rb c\t0,1 FOOD#QUALITY 2 -1,-1\n")
-        (x,) = load_dataset(path)
+        (x,), _ = load_dataset(path)
         assert (x.text, x.tokens) == ("a\rb c", ("a", "b", "c"))
 
     def test_non_utf8_file_names_path_and_line(self, tmp_path):
@@ -142,7 +134,7 @@ class TestLoading:
                 read(path)
 
     def test_loaded_examples_share_spans(self):
-        a, b = parse_dataset_text("a b c\t0,1 C 2 -1,-1\nd e\t0,1 D 1 -1,-1\n")
+        (a, b), _ = parse_dataset_text("a b c\t0,1 C 2 -1,-1\nd e\t0,1 D 1 -1,-1\n")
         assert a.quads[0].aspect_span is b.quads[0].aspect_span
         assert (a.quads[0].aspect_text, b.quads[0].aspect_text) == ("a", "d")
 
@@ -163,7 +155,7 @@ class TestLoaderMemo:
 
     def test_span_bounds_checked_per_sentence(self):
         text = "a b c d e f\t0,5 C 2 -1,-1\nx y z\t-1,-1 C 2 0,5\n"
-        assert parse_dataset_text(text.splitlines()[0])[0].quads[0].aspect_text == "a b c d e"
+        assert parse_dataset_text(text.splitlines()[0])[0][0].quads[0].aspect_text == "a b c d e"
         with pytest.raises(
             DatasetError, match=r"^2: opinion span \(0,5\) out of bounds for 3 tokens$"
         ):
@@ -189,7 +181,7 @@ class TestCanonicalInput:
     """Lines end at LF or CRLF only, and integers are accepted only as written back."""
 
     def test_unicode_line_break_stays_in_its_line(self):
-        (x,) = parse_dataset_text("x\x85y\t0,1 C 2 -1,-1")
+        (x,), _ = parse_dataset_text("x\x85y\t0,1 C 2 -1,-1")
         assert (x.id, x.text, x.tokens) == ("ex-0001", "x\x85y", ("x", "y"))
 
     def test_unicode_line_break_keeps_line_numbers(self):
@@ -198,7 +190,7 @@ class TestCanonicalInput:
             parse_dataset_text(text)
 
     def test_lone_cr_does_not_split(self):
-        (x,) = parse_dataset_text("a\rb\t0,1 C 2 -1,-1\n")
+        (x,), _ = parse_dataset_text("a\rb\t0,1 C 2 -1,-1\n")
         assert x.tokens == ("a", "b")
 
     def test_only_the_cr_of_a_crlf_is_removed(self):
@@ -209,7 +201,7 @@ class TestCanonicalInput:
     def test_dataset_ending_in_cr_without_lf(self, tmp_path):
         path = tmp_path / "cr_end.tsv"
         path.write_bytes(b"a b\t0,1 C 2 -1,-1\r\r\nc d\t1,2 C 0 -1,-1\r")
-        examples = load_dataset(path)
+        examples, _ = load_dataset(path)
         assert serialize_dataset(examples) == "a b\t0,1 C 2 -1,-1\nc d\t1,2 C 0 -1,-1\n"
 
     @pytest.mark.parametrize(
@@ -338,19 +330,15 @@ class TestLoaderProperties:
     @settings(max_examples=400)
     @given(_fuzz_text)
     def test_raises_only_dataset_error(self, text):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                parse_dataset_text(text)
-            except DatasetError:
-                pass
+        try:
+            parse_dataset_text(text)
+        except DatasetError:
+            pass
 
     @settings(max_examples=200)
     @given(st.lists(_valid_line(), min_size=1, max_size=6).map("\n".join))
     def test_loaded_examples_pass_example_checks(self, text):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            examples = parse_dataset_text(text)
+        examples, _ = parse_dataset_text(text)
         for x in examples:
             assert Example(x.id, x.text, x.tokens, x.quads) == x
 
@@ -361,14 +349,12 @@ class TestLoaderProperties:
         # Less the fields the loader drops: a quad whose text an earlier field already gave.
         sentence, *fields = line.split("\t")
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                loaded = parse_dataset_text(line)
+            loaded, _ = parse_dataset_text(line)
         except DatasetError:
             return
         kept: dict[tuple, str] = {}
         for field in fields:
-            (single,) = parse_dataset_text(f"{sentence}\t{field}")
+            (single,), _ = parse_dataset_text(f"{sentence}\t{field}")
             kept.setdefault(single.quads[0].match_key(), field)
         assert serialize_dataset(loaded) == "\t".join([sentence, *kept.values()]) + "\n"
 
@@ -379,16 +365,19 @@ class TestLoaderProperties:
         sentence, *fields = line.split("\t")
         expected: dict[tuple, Quadruple] = {}
         for field in fields:
-            (single,) = parse_dataset_text(f"{sentence}\t{field}")
+            (single,), _ = parse_dataset_text(f"{sentence}\t{field}")
             expected.setdefault(single.quads[0].match_key(), single.quads[0])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            (x,) = parse_dataset_text(line)
+        (x,), duplicates = parse_dataset_text(line)
         assert x.quads == tuple(expected.values())
-        dropped = len(fields) - len(expected)
-        assert [str(w.message) for w in caught] == (
-            [f"dropped {dropped} duplicate quadruple(s) while loading dataset"] if dropped else []
-        )
+        assert duplicates == len(fields) - len(expected)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(_valid_line(), _repeating_line()), min_size=1, max_size=6))
+    @example(["a b\t0,1 C 2 1,2\t \t0,1 C 2 1,2", "c\t-1,-1 D 0 -1,-1\t\t-1,-1 D 0 -1,-1"])
+    def test_every_quad_field_is_kept_or_counted(self, lines):
+        examples, duplicates = parse_dataset_text("\n".join(lines))
+        fields = sum(bool(f.strip()) for line in lines for f in line.split("\t")[1:])
+        assert sum(len(x.quads) for x in examples) + duplicates == fields
 
     @pytest.mark.parametrize("term, reserved", [("a|b", "|"), ("[SSEP]", "[SSEP]")])
     def test_reserved_separator_in_term_keeps_error_and_line(self, term, reserved):
@@ -408,7 +397,7 @@ class TestLoaderProperties:
         assert {q.category for x in synth_corpus for q in x.quads} <= labels
 
     def test_synthetic_corpus_round_trips(self, synth_corpus):
-        loaded = parse_dataset_text(serialize_dataset(synth_corpus))
+        loaded, _ = parse_dataset_text(serialize_dataset(synth_corpus))
         assert [(x.text, x.tokens, x.quads) for x in loaded] == [
             (x.text, x.tokens, x.quads) for x in synth_corpus
         ]
@@ -418,13 +407,13 @@ class TestSerialization:
     def test_load_serialize_load_identity(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text(MINI_DATASET, encoding="utf-8")
-        first = load_dataset(path)
+        first, _ = load_dataset(path)
         text = serialize_dataset(first)
-        second = parse_dataset_text(text, id_prefix="t")
+        second, _ = parse_dataset_text(text, id_prefix="t")
         assert first == second
 
     def test_serialize_byte_identical(self):
-        examples = parse_dataset_text(MINI_DATASET)
+        examples, _ = parse_dataset_text(MINI_DATASET)
         assert serialize_dataset(examples) == MINI_DATASET
 
 
