@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,8 @@ from .core import Example, characteristic_labels
 from .scl import SclConfig, _extend_with_mask, scl_loss
 
 __all__ = [
-    "TokenHashEncoder",
-    "SeparationStats",
+    "encode_corpus",
+    "HeadRun",
     "DemoResult",
     "head_gradient",
     "train_head",
@@ -44,40 +44,41 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-class TokenHashEncoder:
-    """Frozen encoder: each token maps to a fixed pseudo-random vector of ``ENCODER_DIM``.
+def encode_corpus(corpus: list[Example], seed: int) -> np.ndarray:
+    """The frozen encoder: one row per example, the mean of its tokens' vectors.
 
-    Vectors derive from a cryptographic hash of (seed, token), so encodings
-    are identical across processes and platforms. ``toy_demo`` passes
-    ``SclConfig.rng_seed`` as the seed.
+    Each token maps to a fixed pseudo-random vector of ``ENCODER_DIM``, derived
+    from a cryptographic hash of (seed, token), so encodings are identical
+    across processes and platforms. ``toy_demo`` passes ``SclConfig.rng_seed``
+    as the seed.
     """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._cache: dict[str, np.ndarray] = {}
-
-    def embed_token(self, token: str) -> np.ndarray:
-        vec = self._cache.get(token)
-        if vec is None:
-            rng = np.random.default_rng(_derived_seed(self.seed, "token", token))
-            vec = rng.standard_normal(ENCODER_DIM)
-            self._cache[token] = vec
-        return vec
-
-    def encode(self, x: Example) -> np.ndarray:
+    vectors: dict[str, np.ndarray] = {}
+    rows = []
+    for x in corpus:
         if not x.tokens:
             raise ValueError(f"example {x.id!r} has no tokens")
-        return np.stack([self.embed_token(t) for t in x.tokens])
+        for token in x.tokens:
+            if token not in vectors:
+                rng = np.random.default_rng(_derived_seed(seed, "token", token))
+                vectors[token] = rng.standard_normal(ENCODER_DIM)
+        rows.append(np.stack([vectors[t] for t in x.tokens]).mean(axis=0))
+    return np.stack(rows)
 
 
-@dataclass(frozen=True)
-class SeparationStats:
-    """Mean intra-/inter-label cosine similarity before and after training."""
+# eq=False: ``reps`` is an array, so field-wise == would be ambiguous.
+@dataclass(frozen=True, eq=False)
+class HeadRun:
+    """One trained head: its labels, the mean intra-/inter-label cosine
+    similarity before and after training, its final representations and its
+    loss at each step."""
 
+    labels: list[str]
     intra_before: float
     inter_before: float
     intra_after: float
     inter_after: float
+    reps: np.ndarray
+    losses: list[float]
 
     @property
     def gap_before(self) -> float:
@@ -90,28 +91,23 @@ class SeparationStats:
 
 @dataclass
 class DemoResult:
-    stats: dict[str, SeparationStats]
+    heads: dict[str, HeadRun]
     skipped: dict[str, str]
-    representations: dict[str, np.ndarray]
-    labels: dict[str, list[str]]
     example_ids: list[str]
     steps: int
-    # Per characteristic, the contrastive loss at each training step.
-    loss_curve: dict[str, list[float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {"steps": self.steps, "characteristics": {}, "skipped": dict(self.skipped)}
-        for name, s in self.stats.items():
-            curve = self.loss_curve.get(name, [])
+        for name, h in self.heads.items():
             row = {
-                "intra_before": s.intra_before,
-                "inter_before": s.inter_before,
-                "gap_before": s.gap_before,
-                "intra_after": s.intra_after,
-                "inter_after": s.inter_after,
-                "gap_after": s.gap_after,
-                "loss_first": curve[0] if curve else None,
-                "loss_last": curve[-1] if curve else None,
+                "intra_before": h.intra_before,
+                "inter_before": h.inter_before,
+                "gap_before": h.gap_before,
+                "intra_after": h.intra_after,
+                "inter_after": h.inter_after,
+                "gap_after": h.gap_after,
+                "loss_first": h.losses[0] if h.losses else None,
+                "loss_last": h.losses[-1] if h.losses else None,
             }
             # A mean over no pairs is NaN, which JSON cannot hold: write null.
             out["characteristics"][name] = {k: None if v != v else v for k, v in row.items()}
@@ -122,10 +118,10 @@ class DemoResult:
             f"{'characteristic':<15} {'intra0':>8} {'inter0':>8} {'gap0':>8} "
             f"{'intra1':>8} {'inter1':>8} {'gap1':>8}"
         ]
-        for name, s in self.stats.items():
+        for name, h in self.heads.items():
             lines.append(
-                f"{name:<15} {s.intra_before:>8.4f} {s.inter_before:>8.4f} {s.gap_before:>8.4f} "
-                f"{s.intra_after:>8.4f} {s.inter_after:>8.4f} {s.gap_after:>8.4f}"
+                f"{name:<15} {h.intra_before:>8.4f} {h.inter_before:>8.4f} {h.gap_before:>8.4f} "
+                f"{h.intra_after:>8.4f} {h.inter_after:>8.4f} {h.gap_after:>8.4f}"
             )
         for name, reason in self.skipped.items():
             lines.append(f"{name:<15} skipped: {reason}")
@@ -164,12 +160,10 @@ def head_gradient(
 
 def train_head(
     pooled: np.ndarray, characteristic: str, labels: list[str], cfg: SclConfig, steps: int
-) -> tuple[SeparationStats, np.ndarray, list[float]]:
+) -> HeadRun:
     """Train one characteristic's linear head on the pooled encodings.
 
-    Returns the head's separation before and after, its final representations
-    and its loss at each step. Reads no state but its arguments, so the heads
-    can train at the same time.
+    Reads no state but its arguments, so the heads can train at the same time.
     """
     alpha = cfg.alpha[CHARACTERISTICS.index(characteristic)]
     head_rng = np.random.default_rng(_derived_seed(cfg.rng_seed, characteristic, "init"))
@@ -191,12 +185,12 @@ def train_head(
         reps = pooled @ weight.T + bias
 
     intra_after, inter_after = _separation(reps, labels)
-    return SeparationStats(intra_before, inter_before, intra_after, inter_after), reps, losses
+    return HeadRun(labels, intra_before, inter_before, intra_after, inter_after, reps, losses)
 
 
 def _train_heads(
     pooled: np.ndarray, heads: dict[str, list[str]], cfg: SclConfig, steps: int
-) -> dict[str, tuple[SeparationStats, np.ndarray, list[float]]]:
+) -> dict[str, HeadRun]:
     """``train_head`` for each (characteristic, labels) item, in order.
 
     The heads share no state, and numpy releases the interpreter lock in its
@@ -236,36 +230,30 @@ def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
         raise ValueError("steps must be >= 0")
     all_labels = [characteristic_labels(x) for x in corpus]
 
-    encoder = TokenHashEncoder(cfg.rng_seed)
-    pooled = np.stack([encoder.encode(x).mean(axis=0) for x in corpus])
+    pooled = encode_corpus(corpus, cfg.rng_seed)
 
     skipped: dict[str, str] = {}
-    heads: dict[str, list[str]] = {}
+    trained: dict[str, list[str]] = {}
     for characteristic in CHARACTERISTICS:
         labels = [getattr(cl, characteristic) for cl in all_labels]
         if len(set(labels)) < 2:
             skipped[characteristic] = f"only one {characteristic} label present ({labels[0]!r})"
         else:
-            heads[characteristic] = labels
-    runs = _train_heads(pooled, heads, cfg, steps)
+            trained[characteristic] = labels
 
     return DemoResult(
-        stats={c: stats for c, (stats, _, _) in runs.items()},
+        heads=_train_heads(pooled, trained, cfg, steps),
         skipped=skipped,
-        representations={c: reps for c, (_, reps, _) in runs.items()},
-        labels=heads,
         example_ids=[x.id for x in corpus],
         steps=steps,
-        loss_curve={c: losses for c, (_, _, losses) in runs.items()},
     )
 
 
 def export_representations(result: DemoResult, path: str | Path) -> None:
     """Write final representations as TSV: id, characteristic, label, coords."""
     lines = []
-    for characteristic, reps in result.representations.items():
-        labels = result.labels[characteristic]
-        for example_id, label, row in zip(result.example_ids, labels, reps):
+    for characteristic, head in result.heads.items():
+        for example_id, label, row in zip(result.example_ids, head.labels, head.reps):
             coords = "\t".join(f"{v:.8g}" for v in row)
             lines.append(f"{example_id}\t{characteristic}\t{label}\t{coords}")
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")

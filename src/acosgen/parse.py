@@ -83,64 +83,47 @@ class ParseOutcome:
     dropped: int
 
 
-class _SegmentError(ValueError):
-    pass
-
-
-def _split_aspect_opinion(text: str) -> tuple[str | _Implicit, str | _Implicit]:
-    """Invert ``the <aspect> is <opinion>`` / ``it is <opinion>``."""
-    head, sep, tail = text.rpartition(" is ")
-    if not sep:
-        raise _SegmentError(f"no ' is ' in {text!r}")
+def _split_aspect_opinion(text: str) -> tuple[str | _Implicit, str | _Implicit] | None:
+    """Invert ``the <aspect> is <opinion>`` / ``it is <opinion>``; ``None`` if neither."""
+    head, _, tail = text.rpartition(" is ")
     head = head.strip()
     tail = tail.strip()
     # Accept both "it is ..." and the literal-template "the it is ...".
-    if head in (IMPLICIT_ASPECT_WORD, f"the {IMPLICIT_ASPECT_WORD}"):
-        aspect: str | _Implicit = IMPLICIT
-    elif head.startswith("the ") and head[4:].strip():
-        aspect = head[4:]
-    else:
-        raise _SegmentError(f"aspect part {head!r} matches neither 'the <term>' nor 'it'")
+    if head.startswith("the "):
+        head = head[4:].strip()
+    elif head != IMPLICIT_ASPECT_WORD:  # also when there is no " is ": head is then ""
+        return None
     if not tail:
-        raise _SegmentError("empty opinion")
+        return None
+    aspect: str | _Implicit = IMPLICIT if head == IMPLICIT_ASPECT_WORD else head
     opinion: str | _Implicit = IMPLICIT if tail == IMPLICIT_OPINION_WORD else tail
     return aspect, opinion
 
 
-def _parse_gen_nat_segment(segment: str, category_map: CategoryMap) -> PredictedQuad:
+def _parse_gen_nat_segment(segment: str, category_map: CategoryMap) -> PredictedQuad | None:
     fields = [f.strip() for f in segment.split("|")]
     if len(fields) != 3:
-        raise _SegmentError(f"expected 3 '|'-separated fields, got {len(fields)}")
+        return None
     category = category_map.raw_for_description(fields[0])
-    if category is None:
-        raise _SegmentError(f"unknown category description {fields[0]!r}")
-    aspect, opinion = _split_aspect_opinion(fields[1])
+    terms = _split_aspect_opinion(fields[1])
     sentiment = _SENTIMENT_BY_WORD.get(fields[2].lower())
-    if sentiment is None:
-        raise _SegmentError(f"unknown sentiment word {fields[2]!r}")
-    return PredictedQuad(aspect, category, opinion, sentiment)
+    if category is None or terms is None or sentiment is None:
+        return None
+    return PredictedQuad(terms[0], category, terms[1], sentiment)
 
 
-def _parse_paraphrase_segment(segment: str, category_map: CategoryMap) -> PredictedQuad:
-    head, sep, tail = segment.partition(" because ")
-    if not sep:
-        raise _SegmentError(f"no ' because ' in {segment!r}")
-    category_part, sep, sentiment_word = head.strip().rpartition(" is ")
-    if not sep:
-        raise _SegmentError(f"no ' is ' before 'because' in {segment!r}")
-    sentiment = _SENTIMENT_BY_PARAPHRASE.get(sentiment_word.strip().lower())
-    if sentiment is None:
-        raise _SegmentError(f"unknown sentiment word {sentiment_word!r}")
-    category = category_part.strip()
-    if category not in category_map:
-        raise _SegmentError(f"unknown category label {category!r}")
-    aspect_part, sep, opinion_part = tail.strip().rpartition(" is ")
-    if not sep:
-        raise _SegmentError(f"no ' is ' after 'because' in {segment!r}")
+def _parse_paraphrase_segment(segment: str, category_map: CategoryMap) -> PredictedQuad | None:
+    head, because, tail = segment.partition(" because ")
+    category, is_before, sentiment_word = head.strip().rpartition(" is ")
+    aspect_part, is_after, opinion_part = tail.strip().rpartition(" is ")
+    category = category.strip()
     aspect_part = aspect_part.strip()
     opinion_part = opinion_part.strip()
-    if not aspect_part or not opinion_part:
-        raise _SegmentError(f"empty aspect or opinion in {segment!r}")
+    sentiment = _SENTIMENT_BY_PARAPHRASE.get(sentiment_word.strip().lower())
+    if not (because and is_before and is_after and aspect_part and opinion_part):
+        return None
+    if sentiment is None or category not in category_map:
+        return None
     aspect: str | _Implicit = IMPLICIT if aspect_part == IMPLICIT_ASPECT_WORD else aspect_part
     opinion: str | _Implicit = IMPLICIT if opinion_part == IMPLICIT_OPINION_WORD else opinion_part
     return PredictedQuad(aspect, category, opinion, sentiment)
@@ -166,14 +149,11 @@ def parse_output(s: str, style: FormatStyle, category_map: CategoryMap) -> Parse
     dropped = 0
     for raw_segment in s.split(QUAD_SEPARATOR):
         segment = raw_segment.strip()
-        try:
-            if not segment:
-                raise _SegmentError("empty segment")
-            quad = parse_segment(segment, category_map)
-        except _SegmentError:
+        quad = parse_segment(segment, category_map) if segment else None
+        if quad is None:
             dropped += 1
-            continue
-        quads.setdefault(quad.match_key(), quad)
+        else:
+            quads.setdefault(quad.match_key(), quad)
     return ParseOutcome(list(quads.values()), dropped)
 
 

@@ -266,9 +266,9 @@ def test_toy_separation_demo():
     elapsed = time.perf_counter() - start
     assert not first.skipped
     gaps = {}
-    for name, stats in first.stats.items():
-        gaps[name] = stats.gap_after
-        assert stats.gap_after >= 0.2, name
+    for name, head in first.heads.items():
+        gaps[name] = head.gap_after
+        assert head.gap_after >= 0.2, name
     assert first.to_dict() == second.to_dict()
     assert elapsed < 60.0
     gap_text = ", ".join(f"{k}={v:.2f}" for k, v in gaps.items())

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ from acosgen import cli
 from acosgen.linearize import FormatStyle
 from acosgen.scl import ReprBatch
 
-from conftest import fresh_env
+from conftest import MINI_DATASET, fresh_env
 
 MODULES = ["acosgen", *(f"acosgen.{m.name}" for m in pkgutil.iter_modules(acosgen.__path__))]
 
@@ -46,6 +47,14 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Library use\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    (tmp_path / "rest_test.tsv").write_text(MINI_DATASET, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("name", TRACED)

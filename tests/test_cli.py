@@ -355,6 +355,16 @@ class TestSclDemo:
         assert code == 0
         assert json.loads(out)["steps"] == 3
 
+    def test_example_without_tokens_exit_2(self, capsys, tmp_path):
+        # An empty sentence with only implicit quads loads; the demo cannot encode it.
+        path = tmp_path / "notok.tsv"
+        path.write_text("\t-1,-1 FOOD#QUALITY 2 -1,-1\n", encoding="utf-8")
+        (example,), duplicates = load_dataset(path)
+        assert (example.tokens, duplicates) == ((), 0)
+        assert run(capsys, "scl-demo", "--dataset", str(path)) == (
+            2, "", "error: example 'notok-0001' has no tokens\n"
+        )
+
 
 @pytest.mark.parametrize("command", ["stats", "linearize", "evaluate", "scl-demo"])
 def test_warnings_as_errors_change_nothing(tmp_path, command):

@@ -12,7 +12,7 @@ from acosgen.demo import (
     ENCODER_DIM,
     HEAD_DIM,
     DemoResult,
-    TokenHashEncoder,
+    encode_corpus,
     export_representations,
     head_gradient,
     toy_demo,
@@ -31,46 +31,49 @@ def small_corpus():
 
 class TestEncoder:
     def test_deterministic_across_instances(self):
-        a = TokenHashEncoder(3).embed_token("pizza")
-        b = TokenHashEncoder(3).embed_token("pizza")
-        assert np.array_equal(a, b)
+        x = example_from_line("the pizza pizza\t1,2 C0 2 0,1")
+        a = encode_corpus([x], 3)
+        b = encode_corpus([x], 3)
+        assert a.tobytes() == b.tobytes()
+        # The row is the mean of its token vectors; a repeated token repeats one vector.
+        the, pizza = (example_from_line(f"{word}\t0,1 C0 2 0,1") for word in ("the", "pizza"))
+        c = encode_corpus([the, pizza], 3)
+        assert np.allclose(a[0], (c[0] + 2 * c[1]) / 3)
 
     def test_seed_changes_embedding(self):
-        a = TokenHashEncoder(3).embed_token("pizza")
-        b = TokenHashEncoder(4).embed_token("pizza")
-        assert not np.array_equal(a, b)
+        x = example_from_line("pizza\t0,1 C0 2 0,1")
+        assert not np.array_equal(encode_corpus([x], 3), encode_corpus([x], 4))
 
     def test_encode_shape(self, small_corpus):
-        enc = TokenHashEncoder(0)
-        x = small_corpus[0]
-        assert enc.encode(x).shape == (len(x.tokens), ENCODER_DIM)
+        assert encode_corpus(small_corpus, 0).shape == (len(small_corpus), ENCODER_DIM)
 
 
 class TestToyDemo:
     def test_zero_steps_identical_stats(self, small_corpus):
         result = toy_demo(small_corpus, SclConfig(rng_seed=1), steps=0)
-        for s in result.stats.values():
-            assert s.intra_before == s.intra_after
-            assert s.inter_before == s.inter_after
+        for h in result.heads.values():
+            assert h.intra_before == h.intra_after
+            assert h.inter_before == h.inter_after
 
     def test_deterministic_under_seed(self, small_corpus):
         cfg = SclConfig(rng_seed=5)
         a = toy_demo(small_corpus, cfg, steps=20)
         b = toy_demo(small_corpus, cfg, steps=20)
         assert a.to_dict() == b.to_dict()
-        for name in a.representations:
-            assert np.array_equal(a.representations[name], b.representations[name])
+        for name in a.heads:
+            assert np.array_equal(a.heads[name].reps, b.heads[name].reps)
 
     def test_training_increases_gap(self, small_corpus):
         cfg = SclConfig(rng_seed=0)
         result = toy_demo(small_corpus, cfg, steps=60)
-        for name, s in result.stats.items():
-            assert s.gap_after > s.gap_before, name
+        for name, h in result.heads.items():
+            assert h.gap_after > h.gap_before, name
 
     def test_loss_curve_falls(self, small_corpus):
         result = toy_demo(small_corpus, SclConfig(rng_seed=0), steps=60)
         report = result.to_dict()["characteristics"]
-        for name, curve in result.loss_curve.items():
+        for name, h in result.heads.items():
+            curve = h.losses
             assert len(curve) == 60
             assert np.mean(curve[-10:]) < np.mean(curve[:10]), name
             assert (report[name]["loss_first"], report[name]["loss_last"]) == (curve[0], curve[-1])
@@ -86,7 +89,7 @@ class TestToyDemo:
             warnings.simplefilter("error")  # the report is the skip's one record
             result = toy_demo(corpus, SclConfig(rng_seed=0), steps=5)
         assert result.skipped == {"sentiment": "only one sentiment label present ('positive')"}
-        assert "aspect" in result.stats
+        assert "aspect" in result.heads
 
     def test_undefined_statistics_are_null_in_dict(self):
         # One example per sentiment: no same-label pair, so the intra mean is NaN.
@@ -94,7 +97,7 @@ class TestToyDemo:
         corpus = [example_from_line(line, f"n{i}") for i, line in enumerate(lines)]
         result = toy_demo(corpus, SclConfig(rng_seed=0), steps=2)
         assert set(result.skipped) == {"aspect", "opinion"}
-        assert math.isnan(result.stats["sentiment"].intra_before)
+        assert math.isnan(result.heads["sentiment"].intra_before)
         row = result.to_dict()["characteristics"]["sentiment"]
         for key in ("intra_before", "gap_before", "intra_after", "gap_after"):
             assert row[key] is None, key
@@ -108,25 +111,16 @@ class TestToyDemo:
             toy_demo(small_corpus, SclConfig(), steps=-1)
 
 
-def pooled_encodings(corpus, cfg):
-    encoder = TokenHashEncoder(cfg.rng_seed)
-    return np.stack([encoder.encode(x).mean(axis=0) for x in corpus])
-
-
 def serial_demo(corpus, cfg, steps) -> DemoResult:
     """``toy_demo`` as one loop on the calling thread: ``train_head`` per trained head, in order."""
-    pooled = pooled_encodings(corpus, cfg)
+    pooled = encode_corpus(corpus, cfg.rng_seed)
     labels = {c: [getattr(characteristic_labels(x), c) for x in corpus] for c in CHARACTERISTICS}
     trained = {c: labels[c] for c in CHARACTERISTICS if len(set(labels[c])) > 1}
-    runs = {c: train_head(pooled, c, trained[c], cfg, steps) for c in trained}
     return DemoResult(
-        stats={c: run[0] for c, run in runs.items()},
+        heads={c: train_head(pooled, c, trained[c], cfg, steps) for c in trained},
         skipped=toy_demo(corpus, cfg, 0).skipped,
-        representations={c: run[1] for c, run in runs.items()},
-        labels=trained,
         example_ids=[x.id for x in corpus],
         steps=steps,
-        loss_curve={c: run[2] for c, run in runs.items()},
     )
 
 
@@ -134,11 +128,11 @@ def assert_same_result(got: DemoResult, want: DemoResult):
     """Bit for bit: every statistic, loss and representation (NaN equal to NaN)."""
     assert got.to_dict() == want.to_dict()
     assert got.to_text() == want.to_text()
-    assert got.loss_curve == want.loss_curve
-    assert got.labels == want.labels
-    assert list(got.representations) == list(want.representations)
-    for name, reps in want.representations.items():
-        assert got.representations[name].tobytes() == reps.tobytes(), name
+    assert list(got.heads) == list(want.heads)
+    for name, head in want.heads.items():
+        assert got.heads[name].losses == head.losses, name
+        assert got.heads[name].labels == head.labels, name
+        assert got.heads[name].reps.tobytes() == head.reps.tobytes(), name
 
 
 class TestHeadTraining:
@@ -147,7 +141,7 @@ class TestHeadTraining:
         ``grad_check``'s central differences of the alpha-weighted loss in (weight, bias)."""
         cfg = SclConfig(tau=0.25, dropout_p=0.1, rng_seed=4)
         corpus = make_synthetic_corpus(12, seed=cfg.rng_seed)
-        pooled = pooled_encodings(corpus, cfg)
+        pooled = encode_corpus(corpus, cfg.rng_seed)
         codes = np.unique([characteristic_labels(x).aspect for x in corpus], return_inverse=True)[1]
         assert len(set(codes)) > 1
         alpha = cfg.alpha[1]
@@ -166,7 +160,7 @@ class TestHeadTraining:
     def test_threaded_demo_equals_serial_heads(self, small_corpus):
         cfg = SclConfig(rng_seed=3)
         result = toy_demo(small_corpus, cfg, steps=12)
-        assert list(result.stats) == list(CHARACTERISTICS)
+        assert list(result.heads) == list(CHARACTERISTICS)
         assert_same_result(result, serial_demo(small_corpus, cfg, steps=12))
 
     @pytest.mark.parametrize(

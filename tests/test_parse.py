@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acosgen.configs import DATASETS, default_category_map
@@ -57,6 +57,10 @@ class TestGenNatParsing:
         out = parse_output(messy, FormatStyle.GEN_NAT, rest_map)
         assert out.dropped == 0
         assert len(out.quads) == 2
+        # Spaces after the article are not part of the term, nor of an implicit "it".
+        for text, aspect in (("the  pizza", "pizza"), ("the \t it", IMPLICIT)):
+            out = parse_output(f"the food quality | {text} is great | positive", FormatStyle.GEN_NAT, rest_map)
+            assert [q.aspect for q in out.quads] == [aspect]
 
     def test_sentiment_case_insensitive(self, rest_map):
         (q,) = parse_output(
@@ -194,12 +198,15 @@ def _output(draw):
 class TestParseOutputProperties:
     @settings(max_examples=300)
     @given(_output(), st.sampled_from(list(FormatStyle)))
+    @example((_MAPS["rest"], "the food quality | the  pizza is great | positive"), FormatStyle.GEN_NAT)
     def test_never_raises_and_accounts_for_segments(self, case, style):
         category_map, s = case
         out = parse_output(s, style, category_map)
         segments = len(s.split("[SSEP]")) if s.strip() else 0
         assert out.dropped + len(out.quads) <= segments
         assert all(q.category in category_map for q in out.quads)
+        terms = [t for q in out.quads for t in (q.aspect, q.opinion) if t is not IMPLICIT]
+        assert all(t and t == t.strip() for t in terms), terms
 
 
 class TestRoundTrip:
