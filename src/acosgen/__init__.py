@@ -7,11 +7,12 @@ objective with a toy training demo.
 
 Only the contrastive half (``scl``, ``demo``, ``verify``, ``synth``) needs
 numpy. It is imported on first use of one of its names here, so the text
-pipeline (load, linearize, parse, score) starts without it.
+pipeline (load, linearize, parse, score) and ``SclConfig`` load without it.
 """
 
 from importlib import import_module
 
+from .configs import SclConfig
 from .core import (
     IMPLICIT,
     CharacteristicLabels,
@@ -41,7 +42,6 @@ from .parse import ParseOutcome, PredictedQuad, parse_output, read_predictions
 _NUMPY_SUBMODULES = frozenset({"scl", "demo", "verify", "synth"})
 _SCL_EXPORTS = (
     "ReprBatch",
-    "SclConfig",
     "extend_batch",
     "grad_check",
     "reference_scl_loss",
@@ -75,6 +75,7 @@ __all__ = [
     "PredictedQuad",
     "parse_output",
     "read_predictions",
+    "SclConfig",
     *_SCL_EXPORTS,
 ]
 

@@ -18,16 +18,12 @@ import sys
 from functools import cache
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .configs import DATASETS, resolve_category_map
+from .configs import DATASETS, SclConfig, resolve_category_map
 from .core import DatasetError, Example, load_dataset
 from .evaluate import dataset_stats, score
 from .linearize import CategoryMapError, FormatStyle, linearize_example
 from .parse import parse_output, read_predictions
-
-if TYPE_CHECKING:
-    from .scl import SclConfig
 
 __all__ = ["main"]
 
@@ -41,7 +37,6 @@ _SCL_NAMES = {
     "oracle_suite": ".verify",
     "gradient_suite": ".verify",
     "save_failure": ".verify",
-    "SclConfig": ".scl",
 }
 
 
@@ -69,17 +64,6 @@ def _emit(lines: list[str], out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-# scl-demo flag -> (SclConfig field it sets, type, help). The flags have no argparse default:
-# an unset one keeps the field's default, which its help names (a test checks each against
-# SclConfig(); the parser cannot ask it, since scl imports numpy).
-_SCL_FLAGS = {
-    "seed": ("rng_seed", int, "seed of every random draw in the demo (default: 0)"),
-    "tau": ("tau", float, "SCL temperature (default: 0.25)"),
-    "alpha": ("alpha", float, "each head's SCL weight, >= 0; 0 turns SCL off (default: 0.05)"),
-    "dropout": ("dropout_p", float, "dropout probability of the SCL views (default: 0.1)"),
-}
 
 
 @cache
@@ -131,10 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
     json_arg(p)
     out_arg(p)
 
+    cfg = SclConfig()
     p = sub.add_parser("scl-check", help="run loss-oracle and gradient verification suites")
     for flag, kind, default, what in (
         ("--seed", int, 0, "seed of both suites' random batches"),
-        ("--tau", float, 0.25, "SCL temperature"),
+        ("--tau", float, cfg.tau, "SCL temperature"),
         ("--oracle-batches", int, 1000, "random batches checked against the reference loss"),
         ("--grad-batches", int, 100, "random batches checked by finite differences"),
         ("--failure-out", str, "scl-check-failure.json", "file for the first offending batch"),
@@ -150,8 +135,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="synthetic examples to train on without --dataset (default: %(default)s)",
     )
     p.add_argument("--steps", type=int, default=150, help="training steps (default: %(default)s)")
-    for flag, (_, kind, what) in _SCL_FLAGS.items():
-        p.add_argument(f"--{flag}", type=kind, help=what)
+    for flag, kind, default, what in (
+        ("--seed", int, cfg.rng_seed, "seed of every random draw in the demo"),
+        ("--tau", float, cfg.tau, "SCL temperature"),
+        ("--alpha", float, cfg.alpha, "each head's SCL weight, >= 0; 0 turns SCL off"),
+        ("--dropout", float, cfg.dropout_p, "dropout probability of the SCL views"),
+    ):
+        p.add_argument(flag, type=kind, default=default, help=f"{what} (default: %(default)s)")
     json_arg(p)
     out_arg(p)
     p.add_argument("--reps-out", help="export representations TSV")
@@ -160,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _demo_config(args) -> SclConfig:
-    given = {field: getattr(args, flag) for flag, (field, _, _) in _SCL_FLAGS.items()}
-    return _cli.SclConfig(**{field: v for field, v in given.items() if v is not None})
+    return SclConfig(tau=args.tau, alpha=args.alpha, dropout_p=args.dropout, rng_seed=args.seed)
 
 
 def _load(path: str) -> tuple[list[Example], int]:

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import Example, characteristic_labels
-from .scl import SclConfig, _extend_with_mask, scl_loss
+from .configs import SclConfig
+from .scl import _extend_with_mask, scl_loss
 
 __all__ = [
     "encode_corpus",
@@ -141,7 +142,7 @@ def _separation(reps: np.ndarray, labels: list[str]) -> tuple[float, float]:
 
 
 def head_gradient(
-    pooled: np.ndarray, reps: np.ndarray, codes: np.ndarray, alpha: float, cfg: SclConfig, step_seed: int
+    pooled: np.ndarray, reps: np.ndarray, codes: np.ndarray, cfg: SclConfig, step_seed: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """One training step's loss and its alpha-weighted gradient in the head's (weight, bias).
 
@@ -154,7 +155,7 @@ def head_gradient(
     # Views are keep-masked rescaled copies, so their gradient flows
     # back through the mask onto the source representations.
     g_reps = grad[:n] + grad[n:] * keep / (1.0 - cfg.dropout_p)
-    g_reps *= alpha
+    g_reps *= cfg.alpha
     return loss, g_reps.T @ pooled, g_reps.sum(axis=0)
 
 
@@ -165,7 +166,6 @@ def train_head(
 
     Reads no state but its arguments, so the heads can train at the same time.
     """
-    alpha = cfg.alpha[CHARACTERISTICS.index(characteristic)]
     head_rng = np.random.default_rng(_derived_seed(cfg.rng_seed, characteristic, "init"))
     weight = head_rng.standard_normal((HEAD_DIM, ENCODER_DIM)) / math.sqrt(ENCODER_DIM)
     bias = np.zeros(HEAD_DIM)
@@ -178,7 +178,7 @@ def train_head(
     losses = []
     for step in range(steps):
         step_seed = _derived_seed(cfg.rng_seed, characteristic, "step", step)
-        loss, g_weight, g_bias = head_gradient(pooled, reps, codes, alpha, cfg, step_seed)
+        loss, g_weight, g_bias = head_gradient(pooled, reps, codes, cfg, step_seed)
         losses.append(loss)
         weight -= LEARNING_RATE * g_weight
         bias -= LEARNING_RATE * g_bias

@@ -88,9 +88,10 @@ def _split_aspect_opinion(text: str) -> tuple[str | _Implicit, str | _Implicit] 
     head, _, tail = text.rpartition(" is ")
     head = head.strip()
     tail = tail.strip()
-    # Accept both "it is ..." and the literal-template "the it is ...".
-    if head.startswith("the "):
-        head = head[4:].strip()
+    # Accept both "it is ..." and the literal-template "the it is ...". Any whitespace run
+    # may follow the article, but "theory" and a lone "the" are no article.
+    if head.startswith("the") and head[3:4].isspace():
+        head = head[4:].lstrip()
     elif head != IMPLICIT_ASPECT_WORD:  # also when there is no " is ": head is then ""
         return None
     if not tail:

@@ -2,8 +2,9 @@
 
 In GEN-SCL, mean-pooled encoder states pass through one head per
 characteristic (sentiment, aspect, opinion), and training adds each
-characteristic's loss, weighted by its ``alpha``, to the seq2seq
-cross-entropy. This module holds that loss and its oracles; ``demo.toy_demo``
+characteristic's loss, weighted by ``SclConfig.alpha``, to the seq2seq
+cross-entropy. This module holds that loss and its oracles. ``SclConfig``
+lives in the numpy-free ``configs`` and is re-exported here; ``demo.toy_demo``
 owns its toy encoder and heads. A mini-batch of N representations is extended
 with one dropout-altered view per element (labels preserved) so every row has
 at least one same-label partner; the per-row loss is then
@@ -38,6 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .configs import SclConfig
+
 __all__ = [
     "SclConfig",
     "ReprBatch",
@@ -46,42 +49,6 @@ __all__ = [
     "reference_scl_loss",
     "grad_check",
 ]
-
-
-@dataclass(frozen=True)
-class SclConfig:
-    """Hyperparameters of the contrastive objective.
-
-    ``alpha`` weights the three characteristic losses (sentiment, aspect,
-    opinion) against the seq2seq cross-entropy; a single float applies to all
-    three. ``toy_demo``, which has no cross-entropy term, scales each
-    characteristic's gradient step by its weight.
-    """
-
-    tau: float = 0.25
-    alpha: tuple[float, float, float] = (0.05, 0.05, 0.05)
-    dropout_p: float = 0.1
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        alpha = self.alpha
-        if isinstance(alpha, (int, float)):
-            alpha = (float(alpha),) * 3
-        else:
-            alpha = tuple(float(a) for a in alpha)
-            if len(alpha) != 3:
-                raise ValueError(f"alpha must be a single weight or three, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p!r}")
-        if any(not math.isfinite(a) for a in alpha):
-            raise ValueError(f"alpha must be finite, got {alpha!r}")
-        # A zero weight switches that characteristic's SCL off; a negative one would train
-        # its head to shrink the very gaps SCL exists to widen.
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"alpha must be >= 0, got {alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -149,15 +149,18 @@ def test_package_serves_the_contrastive_half_on_first_use():
         import json, sys
         import acosgen.cli
 
+        acosgen.SclConfig(alpha=0.005)
+        acosgen.cli._build_parser()
         numpy_on_import = "numpy" in sys.modules
         modules = [getattr(acosgen, name).__name__ for name in ("scl", "demo", "verify", "synth")]
         from acosgen import scl_loss
 
         missing = [name for name in acosgen.__all__ if not hasattr(acosgen, name)]
-        print(json.dumps([numpy_on_import, modules, missing, scl_loss is acosgen.scl.scl_loss]))
+        same = [scl_loss is acosgen.scl.scl_loss, acosgen.SclConfig is acosgen.scl.SclConfig]
+        print(json.dumps([numpy_on_import, modules, missing, same]))
     """
     modules = ["acosgen.scl", "acosgen.demo", "acosgen.verify", "acosgen.synth"]
-    assert run_fresh(script) == [False, modules, [], True]
+    assert run_fresh(script) == [False, modules, [], [True, True]]
 
 
 def test_patched_cli_names_are_the_ones_scl_commands_call(tmp_path):

@@ -427,14 +427,16 @@ def test_every_json_command_prints_strict_json(capsys, mini_dataset_file, tmp_pa
 
 
 class TestSclDemoFlags:
-    def test_help_names_the_sclconfig_defaults(self):
+    def test_help_names_the_sclconfig_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scl-demo", "--help"])
+        options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
         cfg = SclConfig()
-        assert sorted(field for field, _, _ in cli._SCL_FLAGS.values()) == sorted(
-            f.name for f in fields(SclConfig)
-        )
-        for flag, (field, kind, text) in cli._SCL_FLAGS.items():
-            shown = kind(re.fullmatch(r".*\(default: (\S+)\)", text)[1])
-            assert ((shown,) * 3 if field == "alpha" else shown) == getattr(cfg, field), flag
+        flags = {"--seed": "rng_seed", "--tau": "tau", "--alpha": "alpha", "--dropout": "dropout_p"}
+        assert sorted(flags.values()) == sorted(f.name for f in fields(SclConfig))
+        for flag, field in flags.items():
+            shown = re.search(rf"{flag} [A-Z]+ .*?\(default: (\S+)\)", options)[1]
+            assert shown == str(getattr(cfg, field)), flag
 
     def test_flag_sets_only_its_field(self):
         def assemble(*argv):
@@ -444,7 +446,7 @@ class TestSclDemoFlags:
         for argv, field, value in [
             (("--seed", "4"), "rng_seed", 4),
             (("--tau", "0.5"), "tau", 0.5),
-            (("--alpha", "0.3"), "alpha", (0.3, 0.3, 0.3)),
+            (("--alpha", "0.3"), "alpha", 0.3),
             (("--dropout", "0.3"), "dropout_p", 0.3),
         ]:
             assert assemble(*argv) == replace(SclConfig(), **{field: value}), argv
@@ -461,7 +463,7 @@ class TestSclDemoFlags:
         for flag, value, message in [
             ("--tau", "-1", "tau must be positive and finite, got -1.0"),
             ("--dropout", "1.5", "dropout_p must be in [0, 1), got 1.5"),
-            ("--alpha", "-1", "alpha must be >= 0, got (-1.0, -1.0, -1.0)"),
+            ("--alpha", "-1", "alpha must be finite and >= 0, got -1.0"),
         ]:
             assert run(capsys, *demo, flag, value) == (2, "", f"error: {message}\n"), flag
 

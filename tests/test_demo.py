@@ -144,15 +144,14 @@ class TestHeadTraining:
         pooled = encode_corpus(corpus, cfg.rng_seed)
         codes = np.unique([characteristic_labels(x).aspect for x in corpus], return_inverse=True)[1]
         assert len(set(codes)) > 1
-        alpha = cfg.alpha[1]
         rng = np.random.default_rng(0)
         weight = rng.standard_normal((HEAD_DIM, ENCODER_DIM)) / math.sqrt(ENCODER_DIM)
         bias = 0.1 * rng.standard_normal(HEAD_DIM)
 
         def head_loss(params, tau):  # params: the weight rows, then the bias row
             w, b = params.reps[:HEAD_DIM], params.reps[HEAD_DIM]
-            loss, g_weight, g_bias = head_gradient(pooled, pooled @ w.T + b, codes, alpha, cfg, 77)
-            return alpha * loss, np.vstack([g_weight, g_bias])
+            loss, g_weight, g_bias = head_gradient(pooled, pooled @ w.T + b, codes, cfg, 77)
+            return cfg.alpha * loss, np.vstack([g_weight, g_bias])
 
         params = ReprBatch(np.vstack([weight, bias]), np.zeros(HEAD_DIM + 1))
         assert grad_check(params, cfg.tau, loss_fn=head_loss) < GRADIENT_TOLERANCE

@@ -57,10 +57,16 @@ class TestGenNatParsing:
         out = parse_output(messy, FormatStyle.GEN_NAT, rest_map)
         assert out.dropped == 0
         assert len(out.quads) == 2
-        # Spaces after the article are not part of the term, nor of an implicit "it".
-        for text, aspect in (("the  pizza", "pizza"), ("the \t it", IMPLICIT)):
+        # Whitespace after the article is not part of the term, nor of an implicit "it".
+        for text, aspect in (
+            ("the  pizza", "pizza"), ("the\tpizza", "pizza"), ("the \t it", IMPLICIT), ("the\tit", IMPLICIT)
+        ):
             out = parse_output(f"the food quality | {text} is great | positive", FormatStyle.GEN_NAT, rest_map)
             assert [q.aspect for q in out.quads] == [aspect]
+        # "theory" and a lone "the" are no article.
+        for text in ("theory", "the"):
+            out = parse_output(f"the food quality | {text} is great | positive", FormatStyle.GEN_NAT, rest_map)
+            assert (out.quads, out.dropped) == ([], 1), text
 
     def test_sentiment_case_insensitive(self, rest_map):
         (q,) = parse_output(

@@ -468,26 +468,24 @@ class TestConfig:
     def test_defaults(self):
         cfg = SclConfig()
         assert cfg.tau == 0.25
-        assert cfg.alpha == (0.05, 0.05, 0.05)
+        assert cfg.alpha == 0.05
         assert cfg.dropout_p == 0.1
 
-    def test_scalar_alpha_broadcasts(self):
-        assert SclConfig(alpha=0.005).alpha == (0.005, 0.005, 0.005)
+    def test_scalar_alpha_is_kept_as_given(self):
+        assert SclConfig(alpha=0.005).alpha == 0.005
+        assert SclConfig(alpha=0).alpha == 0  # zero switches SCL off
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SclConfig(tau=0.0)
         with pytest.raises(ValueError):
             SclConfig(dropout_p=1.0)
-        with pytest.raises(ValueError):
-            SclConfig(alpha=(1.0, 2.0))
-        for alpha in (math.inf, (0.1, math.nan, 0.1)):
-            with pytest.raises(ValueError, match=r"^alpha must be finite, got"):
+        for alpha in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^alpha must be finite and >= 0, got"):
                 SclConfig(alpha=alpha)
-        for alpha in (-0.1, (0.1, 0.1, -0.1)):
-            with pytest.raises(ValueError, match=r"^alpha must be >= 0, got"):
+        for alpha in ((0.05, 0.05, 0.05), (1.0, 2.0)):  # one weight serves all three losses
+            with pytest.raises(TypeError):
                 SclConfig(alpha=alpha)
-        assert SclConfig(alpha=0).alpha == (0.0, 0.0, 0.0)  # zero switches SCL off
 
 
 class TestVerifySuites:
