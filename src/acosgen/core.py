@@ -21,14 +21,15 @@ sentinel "-1,-1" marks an implicit term; sentiment codes are
 
 A quad's identity is its :meth:`Quadruple.match_key`, the text the scorer compares:
 two quads with the same aspect text, category, opinion text and sentiment are one
-quad, whatever their spans. An :class:`Example` holds at least one quad and no two
-with one key; the loader keeps the first of such quads and returns the number of the
-rest beside its examples. Every quad is built by the one checked :class:`Quadruple`
-constructor, in one pass: its ``__init__`` checks the arguments, then stores each
-through the class's slot descriptor (past the frozen ``__setattr__``). Distinct span
-strings and sentiment codes are parsed once (a bounded memo). The loader enforces
-every :class:`Example` check itself, so it builds each example unchecked; directly
-constructed examples are checked in full.
+quad, whatever their spans. An :class:`Example` stores its id, text and quads only;
+its tokens are derived from the text, so the two cannot disagree. It holds at least
+one quad and no two with one key; the loader keeps the first of such quads and
+returns the number of the rest beside its examples. Every quad is built by the one
+checked :class:`Quadruple` constructor, in one pass: its ``__init__`` checks the
+arguments, then stores each through the class's slot descriptor (past the frozen
+``__setattr__``). Distinct span strings and sentiment codes are parsed once (a
+bounded memo). The loader enforces every :class:`Example` check itself, so it builds
+each example unchecked; directly constructed examples are checked in full.
 """
 
 from __future__ import annotations
@@ -221,50 +222,52 @@ def quad_type(q: Quadruple) -> QuadType:
 
 @dataclass(frozen=True)
 class Example:
-    """A sentence with its non-empty, duplicate-free quadruple set.
+    """A sentence with its non-empty, duplicate-free quadruple set, built as
+    ``Example(id, text, quads)``.
 
     ``quads`` is stored in file order but is semantically an unordered set.
-    Direct construction checks that ``tokens`` is ``text`` split on whitespace,
-    that there is at least one quad, that no two share a
-    :meth:`Quadruple.match_key`, that every span lies within ``tokens`` and
-    that each term text is its span's tokens joined by spaces. Examples
-    from the loader were checked there, and may share :class:`Span` instances.
+    Spans index :attr:`tokens`, which is derived from ``text``, not stored.
+    Direct construction checks that there is at least one quad, that no two
+    share a :meth:`Quadruple.match_key`, that every span lies within the
+    tokens and that each term text is its span's tokens joined by spaces.
+    Examples from the loader were checked there, and may share :class:`Span`
+    instances.
     """
 
-    __slots__ = ("id", "text", "tokens", "quads")
+    __slots__ = ("id", "text", "quads")
     __reduce__ = _reduce_to_fields
 
     id: str
     text: str
-    tokens: tuple[str, ...]
     quads: tuple[Quadruple, ...]
 
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """The whitespace tokens of ``text``: the one statement of the tokenization rule."""
+        return tuple(self.text.split())
+
     @classmethod
-    def _unchecked(
-        cls, id: str, text: str, tokens: tuple[str, ...], quads: tuple[Quadruple, ...]
-    ) -> "Example":
+    def _unchecked(cls, id: str, text: str, quads: tuple[Quadruple, ...]) -> "Example":
         """Build an Example without running ``__post_init__``: the fields go straight
         into the slots, as :class:`Quadruple` stores its own.
 
-        Only for ``tokens == tuple(text.split())`` and quads the caller has already
-        validated against them exactly as ``__post_init__`` would: at least one, no
-        two with one :meth:`Quadruple.match_key`, every span within ``len(tokens)``,
-        every explicit term text equal to ``" ".join(tokens[span.start:span.end])``.
-        Copies and unpickled examples are built by the checked constructor.
+        Only for quads the caller has already validated against ``text.split()`` exactly
+        as ``__post_init__`` would: at least one, no two with one
+        :meth:`Quadruple.match_key`, every span within the token count, every explicit
+        term text equal to its span's tokens joined by spaces. Copies and unpickled
+        examples are built by the checked constructor.
         """
         x = object.__new__(cls)
-        set_id, set_text, set_tokens, set_quads = _EXAMPLE_SETTERS
+        set_id, set_text, set_quads = _EXAMPLE_SETTERS
         set_id(x, id)
         set_text(x, text)
-        set_tokens(x, tokens)
         set_quads(x, quads)
         return x
 
     def __post_init__(self) -> None:
-        if self.tokens != tuple(self.text.split()):
-            raise ValueError(f"tokens are not the text split on whitespace in example {self.id!r}")
         if not self.quads:
             raise ValueError(f"example {self.id!r} has no quadruples")
+        tokens = self.text.split()
         seen = set()
         for q in self.quads:
             key = q.match_key()
@@ -276,7 +279,7 @@ class Example:
                 (q.opinion_span, q.opinion_text, "opinion"),
             ):
                 try:
-                    resolved = _span_text(span, self.tokens, what)
+                    resolved = _span_text(span, tokens, what)
                 except ValueError as exc:
                     raise ValueError(f"{exc} in example {self.id!r}") from None
                 if text != resolved:
@@ -445,7 +448,7 @@ def parse_dataset_text(
         if not line.strip():
             raise DatasetError("blank line", path=path, line=line_no)
         sentence, *quad_fields = line.split("\t")
-        tokens = tuple(sentence.split())
+        tokens = sentence.split()
         quads: dict[tuple, Quadruple] = {}  # by match key: the first of each kept
         for field in quad_fields:
             parts = tuple(field.split())
@@ -460,7 +463,7 @@ def parse_dataset_text(
         if not quads:
             raise DatasetError("no quadruples", path=path, line=line_no)
         # Every Example check was made above: quads present, keys distinct, spans resolved.
-        examples.append(Example._unchecked(f"{id_prefix}-{line_no:04d}", sentence, tokens,
+        examples.append(Example._unchecked(f"{id_prefix}-{line_no:04d}", sentence,
                                            tuple(quads.values())))
     return examples, duplicates
 

@@ -56,13 +56,14 @@ def encode_corpus(corpus: list[Example], seed: int) -> np.ndarray:
     vectors: dict[str, np.ndarray] = {}
     rows = []
     for x in corpus:
-        if not x.tokens:
+        tokens = x.tokens
+        if not tokens:
             raise ValueError(f"example {x.id!r} has no tokens")
-        for token in x.tokens:
+        for token in tokens:
             if token not in vectors:
                 rng = np.random.default_rng(_derived_seed(seed, "token", token))
                 vectors[token] = rng.standard_normal(ENCODER_DIM)
-        rows.append(np.stack([vectors[t] for t in x.tokens]).mean(axis=0))
+        rows.append(np.stack([vectors[t] for t in tokens]).mean(axis=0))
     return np.stack(rows)
 
 

@@ -128,24 +128,35 @@ def score(preds: Sequence[Iterable], golds: Sequence[Example]) -> EvalReport:
 
 @dataclass(frozen=True)
 class DatasetStats:
+    """A corpus's category, sentence and per-QuadType quad counts; totals and ratios
+    are derived from them."""
+
     num_categories: int
     num_sentences: int
     quad_counts: dict[QuadType, int]
-    quad_percentages: dict[QuadType, float]
-    total_quads: int
-    quads_per_sentence: float
+
+    @property
+    def total_quads(self) -> int:
+        return sum(self.quad_counts.values())
+
+    @property
+    def quad_percentages(self) -> dict[QuadType, float]:
+        total = self.total_quads
+        return {t: (100.0 * self.quad_counts[t] / total if total else 0.0) for t in QuadType}
+
+    @property
+    def quads_per_sentence(self) -> float:
+        return self.total_quads / self.num_sentences if self.num_sentences else 0.0
 
     def to_dict(self) -> dict:
+        percentages = self.quad_percentages
         return {
             "num_categories": self.num_categories,
             "num_sentences": self.num_sentences,
             "total_quads": self.total_quads,
             "quads_per_sentence": round(self.quads_per_sentence, 2),
             "quads": {
-                t.value: {
-                    "count": self.quad_counts[t],
-                    "percent": round(self.quad_percentages[t], 2),
-                }
+                t.value: {"count": self.quad_counts[t], "percent": round(percentages[t], 2)}
                 for t in QuadType
             },
         }
@@ -155,10 +166,9 @@ class DatasetStats:
             f"{'categories':<16} {self.num_categories}",
             f"{'sentences':<16} {self.num_sentences}",
         ]
+        percentages = self.quad_percentages
         for t in QuadType:
-            lines.append(
-                f"{t.value + ' quads':<16} {self.quad_counts[t]} ({self.quad_percentages[t]:.2f}%)"
-            )
+            lines.append(f"{t.value + ' quads':<16} {self.quad_counts[t]} ({percentages[t]:.2f}%)")
         lines.append(f"{'quads/sentence':<16} {self.quads_per_sentence:.2f}")
         return "\n".join(lines)
 
@@ -171,14 +181,4 @@ def dataset_stats(xs: Sequence[Example]) -> DatasetStats:
         for q in x.quads:
             counts[quad_type(q)] += 1
             categories.add(q.category)
-    total = sum(counts.values())
-    percentages = {t: (100.0 * counts[t] / total if total else 0.0) for t in QuadType}
-    quads_per_sentence = total / len(xs) if xs else 0.0
-    return DatasetStats(
-        num_categories=len(categories),
-        num_sentences=len(xs),
-        quad_counts=counts,
-        quad_percentages=percentages,
-        total_quads=total,
-        quads_per_sentence=quads_per_sentence,
-    )
+    return DatasetStats(num_categories=len(categories), num_sentences=len(xs), quad_counts=counts)

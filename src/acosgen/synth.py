@@ -176,12 +176,5 @@ def make_synthetic_corpus(n: int, seed: int) -> list[Example]:
             pool = _MARKERS[characteristic][label]
             tokens.extend(_choose(rng, pool) for _ in range(2))
 
-        examples.append(
-            Example(
-                id=f"synth-{i:04d}",
-                text=" ".join(tokens),
-                tokens=tuple(tokens),
-                quads=tuple(quads),
-            )
-        )
+        examples.append(Example(id=f"synth-{i:04d}", text=" ".join(tokens), quads=tuple(quads)))
     return examples

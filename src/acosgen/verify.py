@@ -85,6 +85,7 @@ def _run_suite(
     """Score ``batches`` random batches with ``error_fn`` against ``tolerance``."""
     if batches < 0:
         raise ValueError(f"batches must be >= 0, got {batches}")
+    SclConfig(tau=tau)  # rejects a tau that is not positive and finite, even for no batch
     rng = np.random.default_rng(seed)
     max_err = 0.0
     failures = 0

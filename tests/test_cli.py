@@ -302,6 +302,14 @@ class TestSclCheck:
         assert code == 2
         assert "batches must be >= 0, got -5" in err
 
+    @pytest.mark.parametrize("tau", ["-1", "nan"])
+    def test_bad_tau_exit_2_when_no_batch_runs(self, capsys, tau):
+        code, out, err = run(
+            capsys, "scl-check", "--tau", tau, "--oracle-batches", "0", "--grad-batches", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: tau must be positive and finite, got {float(tau)!r}\n"
+
     @pytest.mark.parametrize("tau", ["0.001", "0.0025"])
     def test_tau_outside_oracle_domain_exit_2(self, capsys, tau):
         # The oracle's exponentials overflow at 0.001; at 0.0025 a ratio underflows to 0.

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields as dataclass_fields, replace
 
 import pytest
@@ -25,6 +26,7 @@ from acosgen.core import (
 from acosgen.configs import default_category_map
 from acosgen.linearize import CategoryMap
 from acosgen.parse import PredictedQuad, read_predictions
+from acosgen.synth import make_synthetic_corpus
 
 from conftest import MINI_DATASET, example_from_line
 
@@ -137,6 +139,21 @@ class TestLoading:
         (a, b), _ = parse_dataset_text("a b c\t0,1 C 2 -1,-1\nd e\t0,1 D 1 -1,-1\n")
         assert a.quads[0].aspect_span is b.quads[0].aspect_span
         assert (a.quads[0].aspect_text, b.quads[0].aspect_text) == ("a", "d")
+
+    def test_loaded_corpus_holds_under_six_times_its_text(self):
+        # About 4x on CPython 3.10-3.13; an example that also stored its token tuple
+        # would hold 8.5-9.6x.
+        text = serialize_dataset(make_synthetic_corpus(800, 0))
+        parse_dataset_text(text)  # fills the span and sentiment memos
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            examples, _ = parse_dataset_text(text)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(examples) == 800
+        assert held < 6 * len(text.encode("utf-8"))
 
 
 class TestLoaderMemo:
@@ -340,7 +357,8 @@ class TestLoaderProperties:
     def test_loaded_examples_pass_example_checks(self, text):
         examples, _ = parse_dataset_text(text)
         for x in examples:
-            assert Example(x.id, x.text, x.tokens, x.quads) == x
+            assert x.tokens == tuple(x.text.split())
+            assert Example(x.id, x.text, x.quads) == x
 
     @settings(max_examples=200)
     @given(_fields_line())
@@ -467,14 +485,12 @@ class TestCharacteristicLabels:
     def test_empty_quads_error(self):
         # Example itself refuses an empty quad set, so no empty example reaches the labeller.
         with pytest.raises(ValueError, match="no quadruples"):
-            x = Example(id="e", text="a", tokens=("a",), quads=())
+            x = Example(id="e", text="a", quads=())
             characteristic_labels(x)
 
     def test_permutation_invariant(self, synth_corpus):
         for x in synth_corpus[:40]:
-            reordered = Example(
-                id=x.id, text=x.text, tokens=x.tokens, quads=tuple(reversed(x.quads))
-            )
+            reordered = Example(id=x.id, text=x.text, quads=tuple(reversed(x.quads)))
             assert characteristic_labels(reordered) == characteristic_labels(x)
 
 
@@ -541,7 +557,7 @@ class TestTypes:
             (Quadruple(Span(0, 1), "a", "C", IMPLICIT, "", SentimentPolarity.POSITIVE),
              "category", "D"),
             (PredictedQuad("a", "C", IMPLICIT, SentimentPolarity.NEGATIVE), "opinion", "b"),
-            # Another text with the same whitespace split: tokens must be the text's split.
+            # Another text with the same whitespace split is still another example.
             (example_from_line("b  a\t0,1 C 2 -1,-1"), "text", "b a"),
         ],
     )
@@ -623,7 +639,7 @@ class TestTypes:
         with pytest.raises(
             ValueError, match=r"^aspect span \(0,9\) out of bounds for 2 tokens in example 'e'$"
         ):
-            Example(id="e", text="a b", tokens=("a", "b"), quads=(q,))
+            Example(id="e", text="a b", quads=(q,))
 
     def test_example_rejects_duplicate_and_mismatched_text(self):
         q = Quadruple(
@@ -635,28 +651,30 @@ class TestTypes:
             sentiment=SentimentPolarity.POSITIVE,
         )
         with pytest.raises(ValueError, match="duplicate quadruple"):
-            Example(id="e", text="a b", tokens=("a", "b"), quads=(q, q))
+            Example(id="e", text="a b", quads=(q, q))
         # One quad under the scorer's identity, match_key(), whatever its spans.
         same_text = replace(q, aspect_span=Span(2, 3))
         with pytest.raises(ValueError, match="^duplicate quadruple in example 'e'$"):
-            Example(id="e", text="a b a", tokens=("a", "b", "a"), quads=(q, same_text))
+            Example(id="e", text="a b a", quads=(q, same_text))
         with pytest.raises(
             ValueError, match=r"^aspect text 'a' does not match span tokens 'b' in example 'e'$"
         ):
-            Example(id="e", text="b a", tokens=("b", "a"), quads=(q,))
+            Example(id="e", text="b a", quads=(q,))
 
-    def test_example_rejects_tokens_that_are_not_its_text(self):
+    def test_example_tokens_are_its_text_split(self):
         q = Quadruple(Span(2, 3), "z", "C", IMPLICIT, "", SentimentPolarity.POSITIVE)
-        for text, tokens in [("a b", ("x", "y", "z")), ("a b", ("a b",)), ("a  b", ("a", "", "b"))]:
-            with pytest.raises(
-                ValueError, match="^tokens are not the text split on whitespace in example 'e'$"
-            ):
-                Example(id="e", text=text, tokens=tokens, quads=(q,))
-        Example(id="e", text=" x\ty  z ", tokens=("x", "y", "z"), quads=(q,))  # any whitespace
+        assert [f.name for f in dataclass_fields(Example)] == ["id", "text", "quads"]
+        x = Example(id="e", text=" x\ty  z ", quads=(q,))  # any whitespace run
+        assert x.tokens == ("x", "y", "z")
+        synthetic = make_synthetic_corpus(20, 0)
+        unpickled = pickle.loads(pickle.dumps(synthetic))
+        for y in [x, *synthetic, *unpickled]:
+            assert y.tokens == tuple(y.text.split())
+            assert Example(y.id, y.text, y.quads) == y
 
     def test_example_rejects_empty_quads(self):
         with pytest.raises(ValueError, match="^example 'e' has no quadruples$"):
-            Example(id="e", text="a", tokens=("a",), quads=())
+            Example(id="e", text="a", quads=())
         x = example_from_line("a b\t0,1 C 2 -1,-1")
         with pytest.raises(ValueError, match="^example 't-0001' has no quadruples$"):
             replace(x, quads=())

@@ -180,9 +180,7 @@ class TestOrderQuads:
         from acosgen.core import Example
 
         for x in synth_corpus[:60]:
-            reordered = Example(
-                id=x.id, text=x.text, tokens=x.tokens, quads=tuple(reversed(x.quads))
-            )
+            reordered = Example(id=x.id, text=x.text, quads=tuple(reversed(x.quads)))
             assert order_quads(reordered) == order_quads(x)
 
 
@@ -208,9 +206,7 @@ class TestLinearizeExample:
         from acosgen.core import Example
 
         for x in synth_corpus[:40]:
-            reordered = Example(
-                id=x.id, text=x.text, tokens=x.tokens, quads=tuple(reversed(x.quads))
-            )
+            reordered = Example(id=x.id, text=x.text, quads=tuple(reversed(x.quads)))
             for style in FormatStyle:
                 assert linearize_example(reordered, style, rest_map) == linearize_example(
                     x, style, rest_map
@@ -221,7 +217,7 @@ class TestLinearizeExample:
 
         # Example itself refuses an empty quad set, so no empty example reaches the linearizer.
         with pytest.raises(ValueError, match="no quadruples"):
-            x = Example(id="e", text="a", tokens=("a",), quads=())
+            x = Example(id="e", text="a", quads=())
             linearize_example(x, FormatStyle.GEN_NAT, rest_map)
 
     def test_gen_nat_segment_shape(self, rest_map, synth_corpus):

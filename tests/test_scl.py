@@ -494,6 +494,12 @@ class TestVerifySuites:
         gradient = gradient_suite(batches=10, tau=0.25, seed=1)
         assert oracle.passed and gradient.passed
 
+    def test_bad_tau_rejected_when_no_batch_runs(self):
+        for suite in (oracle_suite, gradient_suite):
+            for tau in (-1.0, 0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="^tau must be positive and finite, got "):
+                    suite(0, tau=tau, seed=0)
+
     def test_sign_flip_detected(self):
         def broken(batch, tau):
             loss, grad = scl_loss(batch, tau)
