@@ -45,7 +45,7 @@ def __getattr__(name: str):
     if name not in _SCL_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if "numpy" not in sys.modules:
-        # One BLAS thread unless the user chose a count: scl-demo trains two heads on two
+        # One BLAS thread unless the user chose a count: scl-demo trains its heads on two
         # threads, and an idle OpenBLAS worker spins against them. One count also fixes the
         # GEMMs' reduction order, so the output does not depend on the machine's cores.
         # OpenBLAS reads the variable once, when numpy loads it; after that it is not touched.

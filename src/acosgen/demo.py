@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import queue
 import threading
+from collections.abc import Generator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +40,9 @@ CHARACTERISTICS = ("sentiment", "aspect", "opinion")
 ENCODER_DIM = 32
 HEAD_DIM = 32
 LEARNING_RATE = 40.0
+# At most this many steps of one head per turn on a training thread: few enough that
+# both threads finish close together, enough that queue hand-offs cost little.
+STEPS_PER_TURN = 10
 
 
 def _derived_seed(*parts) -> int:
@@ -160,12 +165,13 @@ def head_gradient(
     return loss, g_reps.T @ pooled, g_reps.sum(axis=0)
 
 
-def train_head(
+def _head_steps(
     pooled: np.ndarray, characteristic: str, labels: list[str], cfg: SclConfig, steps: int
-) -> HeadRun:
-    """Train one characteristic's linear head on the pooled encodings.
+) -> Generator[None, None, HeadRun]:
+    """``train_head``'s loop: yields before each step and returns the ``HeadRun``.
 
-    Reads no state but its arguments, so the heads can train at the same time.
+    Between yields the caller may move the generator to another thread: it
+    reads no state but its arguments, so every result bit is the same.
     """
     head_rng = np.random.default_rng(_derived_seed(cfg.rng_seed, characteristic, "init"))
     weight = head_rng.standard_normal((HEAD_DIM, ENCODER_DIM)) / math.sqrt(ENCODER_DIM)
@@ -178,6 +184,7 @@ def train_head(
     codes = np.unique(labels, return_inverse=True)[1]
     losses = []
     for step in range(steps):
+        yield
         step_seed = _derived_seed(cfg.rng_seed, characteristic, "step", step)
         loss, g_weight, g_bias = head_gradient(pooled, reps, codes, cfg, step_seed)
         losses.append(loss)
@@ -189,42 +196,80 @@ def train_head(
     return HeadRun(labels, intra_before, inter_before, intra_after, inter_after, reps, losses)
 
 
+def _resume(run: Generator[None, None, HeadRun], times: int) -> HeadRun | None:
+    """Resume a head's training up to ``times`` times: its ``HeadRun`` once it ends, else None.
+
+    The first resumption sets the head up and each later one runs one step, so
+    ``steps + 1`` resumptions train a head of ``steps`` steps to its end.
+    """
+    try:
+        for _ in range(times):
+            next(run)
+    except StopIteration as done:
+        return done.value
+    return None
+
+
+def train_head(
+    pooled: np.ndarray, characteristic: str, labels: list[str], cfg: SclConfig, steps: int
+) -> HeadRun:
+    """Train one characteristic's linear head on the pooled encodings, on this thread.
+
+    Reads no state but its arguments, so the heads can train at the same time.
+    """
+    return _resume(_head_steps(pooled, characteristic, labels, cfg, steps), steps + 1)
+
+
 def _train_heads(
     pooled: np.ndarray, heads: dict[str, list[str]], cfg: SclConfig, steps: int
 ) -> dict[str, HeadRun]:
     """``train_head`` for each (characteristic, labels) item, in order.
 
     The heads share no state, and numpy releases the interpreter lock in its
-    array work, so the first head trains on a worker thread while this thread
-    trains the rest. Their arithmetic, hence every result bit, is unchanged.
+    array work, so a worker thread and this thread train them round-robin: each
+    takes a head from one queue, runs ``STEPS_PER_TURN`` of its steps and puts
+    it back until it is done. Each head's arithmetic, hence every result bit,
+    is that of ``train_head``. An exception on either thread stops the other
+    at its next turn and is re-raised here once both have stopped.
     """
-    jobs = list(heads.items())
-    if len(jobs) < 2:
-        return {c: train_head(pooled, c, labels, cfg, steps) for c, labels in jobs}
-    first: dict[str, object] = {}
+    runs = {c: _head_steps(pooled, c, labels, cfg, steps) for c, labels in heads.items()}
+    pending: queue.SimpleQueue[str] = queue.SimpleQueue()
+    for characteristic in runs:
+        pending.put(characteristic)
+    done: dict[str, HeadRun] = {}
+    failures: list[BaseException] = []
 
     def work():
         try:
-            first["run"] = train_head(pooled, *jobs[0], cfg, steps)
+            while not failures:
+                try:
+                    characteristic = pending.get_nowait()
+                except queue.Empty:  # the other thread holds the last head, if any
+                    return
+                run = _resume(runs[characteristic], STEPS_PER_TURN)
+                if run is None:
+                    pending.put(characteristic)
+                else:
+                    done[characteristic] = run
         except BaseException as exc:  # re-raised on the calling thread
-            first["error"] = exc
+            failures.append(exc)
 
-    worker = threading.Thread(target=work, name=f"acosgen-head-{jobs[0][0]}")
+    worker = threading.Thread(target=work, name="acosgen-heads")
     worker.start()
     try:
-        rest = {c: train_head(pooled, c, labels, cfg, steps) for c, labels in jobs[1:]}
+        work()
     finally:
         worker.join()
-    if "error" in first:
-        raise first["error"]
-    return {jobs[0][0]: first["run"], **rest}
+    if failures:
+        raise failures[0]
+    return {c: done[c] for c in heads}
 
 
 def toy_demo(corpus: list[Example], cfg: SclConfig, steps: int) -> DemoResult:
     """Train the three characteristic heads on a frozen encoder and report
     representation separation before/after. Deterministic given cfg.rng_seed.
 
-    Two heads train at a time, on two threads, bit for bit as if one after another."""
+    Two threads train the heads round-robin, bit for bit as if one after another."""
     if not corpus:
         raise ValueError("corpus is empty")
     if steps < 0:

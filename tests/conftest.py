@@ -1,4 +1,5 @@
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,20 @@ def example_from_line(line: str, id_prefix: str = "t"):
     """Build a single Example from one dataset TSV line."""
     examples, _ = parse_dataset_text(line, id_prefix=id_prefix)
     return examples[0]
+
+
+def _live_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if not t.daemon}
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a non-daemon thread running."""
+    before = _live_threads()
+    yield
+    left = sorted(t.name for t in _live_threads() - before)
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 @pytest.fixture(scope="session")

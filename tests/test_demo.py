@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import warnings
 
@@ -111,6 +112,16 @@ class TestToyDemo:
             toy_demo(small_corpus, SclConfig(), steps=-1)
 
 
+# Step counts either side of a turn's end, where a head goes back on the queue.
+TURN_EDGE_STEPS = (0, 1, demo.STEPS_PER_TURN - 1, demo.STEPS_PER_TURN, demo.STEPS_PER_TURN + 1)
+# A step in a head's second turn.
+LATE_STEP = demo.STEPS_PER_TURN + 2
+
+
+class HeadInterrupt(BaseException):
+    """Not an ``Exception``, like ``KeyboardInterrupt``."""
+
+
 def serial_demo(corpus, cfg, steps) -> DemoResult:
     """``toy_demo`` as one loop on the calling thread: ``train_head`` per trained head, in order."""
     pooled = encode_corpus(corpus, cfg.rng_seed)
@@ -158,9 +169,10 @@ class TestHeadTraining:
 
     def test_threaded_demo_equals_serial_heads(self, small_corpus):
         cfg = SclConfig(rng_seed=3)
-        result = toy_demo(small_corpus, cfg, steps=12)
-        assert list(result.heads) == list(CHARACTERISTICS)
-        assert_same_result(result, serial_demo(small_corpus, cfg, steps=12))
+        for steps in TURN_EDGE_STEPS:
+            result = toy_demo(small_corpus, cfg, steps=steps)
+            assert list(result.heads) == list(CHARACTERISTICS)
+            assert_same_result(result, serial_demo(small_corpus, cfg, steps=steps))
 
     @pytest.mark.parametrize(
         "lines, skipped",
@@ -174,23 +186,49 @@ class TestHeadTraining:
     def test_skipped_characteristics_leave_the_rest_unchanged(self, lines, skipped):
         corpus = [example_from_line(line, f"k{i}") for i, line in enumerate(lines)]
         cfg = SclConfig(rng_seed=1)
-        result = toy_demo(corpus, cfg, steps=4)
-        assert set(result.skipped) == skipped
-        assert_same_result(result, serial_demo(corpus, cfg, steps=4))
+        for steps in TURN_EDGE_STEPS:
+            result = toy_demo(corpus, cfg, steps=steps)
+            assert set(result.skipped) == skipped
+            assert_same_result(result, serial_demo(corpus, cfg, steps=steps))
 
-    @pytest.mark.parametrize("failing", ["sentiment", "opinion"])  # the worker's head, the caller's
-    def test_a_head_error_propagates_and_no_thread_is_left(self, small_corpus, monkeypatch, failing):
+    def test_thread_switches_inside_turns_change_no_bit(self, small_corpus):
+        cfg = SclConfig(rng_seed=6)
+        steps = 2 * demo.STEPS_PER_TURN + 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = toy_demo(small_corpus, cfg, steps=steps)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_result(result, serial_demo(small_corpus, cfg, steps=steps))
+
+    @pytest.mark.parametrize(
+        "failing, at_step, error",
+        [pytest.param(c, 0, RuntimeError, id=c) for c in CHARACTERISTICS]
+        + [pytest.param(c, LATE_STEP, RuntimeError, id=f"{c}-late") for c in CHARACTERISTICS]
+        + [pytest.param("aspect", LATE_STEP, HeadInterrupt, id="base-exception")],
+    )
+    def test_a_head_error_propagates_and_no_thread_is_left(
+        self, small_corpus, monkeypatch, failing, at_step, error
+    ):
+        """A failing step stops the other thread after at most one more turn, and its
+        exception, a ``BaseException`` too, reaches the caller with both threads ended."""
         threads = threading.active_count()
+        cfg = SclConfig(rng_seed=0)
+        fail_seed = demo._derived_seed(cfg.rng_seed, failing, "step", at_step)
+        calls = []
 
-        def train_or_fail(pooled, characteristic, *args):
-            if characteristic == failing:
-                raise RuntimeError(f"{characteristic} head failed")
-            return train_head(pooled, characteristic, *args)
+        def gradient_or_fail(pooled, reps, codes, cfg, step_seed):
+            calls.append(step_seed)
+            if step_seed == fail_seed:
+                raise error(f"{failing} head failed")
+            return head_gradient(pooled, reps, codes, cfg, step_seed)
 
-        monkeypatch.setattr(demo, "train_head", train_or_fail)
-        with pytest.raises(RuntimeError, match=f"^{failing} head failed$"):
-            toy_demo(small_corpus, SclConfig(rng_seed=0), steps=2)
+        monkeypatch.setattr(demo, "head_gradient", gradient_or_fail)
+        with pytest.raises(error, match=f"^{failing} head failed$"):
+            toy_demo(small_corpus, cfg, steps=LATE_STEP + 2 * demo.STEPS_PER_TURN)
         assert threading.active_count() == threads
+        assert len(calls) - calls.index(fail_seed) - 1 <= demo.STEPS_PER_TURN
 
 
 class TestExport:
