@@ -140,7 +140,7 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
     rows = batch.num_rows
     norms = np.sqrt((batch.reps * batch.reps).sum(axis=1))
-    if not norms.all():
+    if np.count_nonzero(norms) < rows:
         raise ValueError("zero-norm representation row: cosine similarity undefined")
     root_tau = math.sqrt(tau)
     w = batch.reps * (1.0 / (root_tau * norms))[:, None]
@@ -150,27 +150,28 @@ def scl_loss(batch: ReprBatch, tau: float) -> tuple[float, np.ndarray]:
     dense = labels.dtype.kind in "iu" and labels.min() >= 0 and labels.max() < rows
     if dense:
         class_sizes = np.bincount(codes)
-        dense = class_sizes.all()
+        dense = np.count_nonzero(class_sizes) == class_sizes.size
     if not dense:
         codes = np.unique(labels, return_inverse=True)[1]
         class_sizes = np.bincount(codes)
     pos_counts = class_sizes[codes] - 1
-    if not pos_counts.all():
+    if np.count_nonzero(pos_counts) < rows:
         bad = int(np.argmin(pos_counts))
         raise ValueError(f"row {bad} has no same-label partner in the batch")
     onehot = (codes == np.arange(class_sizes.size)[:, None]).astype(np.float64)
 
     buf = w @ w.T
-    buf.flat[:: rows + 1] = 0.0
+    diagonal = buf.reshape(-1)[:: rows + 1]  # a view: buf is C-contiguous
+    diagonal[...] = 0.0
     pos_logits = (buf @ onehot.T)[np.arange(rows), codes]
     # Stabilized log-sum-exp over each row's B(i) = all other rows.
-    buf.flat[:: rows + 1] = -np.inf
+    diagonal[...] = -np.inf
     row_max = buf.max(axis=1)
     buf -= row_max[:, None]
     np.exp(buf, out=buf)
     denom = buf.sum(axis=1)
     lse = row_max + np.log(denom)
-    loss = float((lse - pos_logits / pos_counts).mean())
+    loss = float((lse - pos_logits / pos_counts).sum()) / rows  # .mean()'s bits, cheaper
 
     buf *= (1.0 / denom)[:, None]
     # No class has one member here (rejected above), so no division by zero.
@@ -216,8 +217,8 @@ def reference_scl_loss(batch: ReprBatch, tau: float) -> float:
     underflow to 0, which in practice means tau above about 0.0027.
     Otherwise one ``ValueError`` names tau and the row count.
     """
-    reps = [np.asarray(row, dtype=np.float64) for row in batch.reps]
-    labels = list(batch.labels)
+    reps = list(batch.reps)
+    labels = batch.labels.tolist()
     rows = len(reps)
     _check_oracle_tau(tau, rows)
     norms = [math.sqrt(float(np.dot(a, a))) for a in reps]
@@ -227,19 +228,20 @@ def reference_scl_loss(batch: ReprBatch, tau: float) -> float:
     exps = [[0.0] * rows for _ in range(rows)]
     losses = []
     for i in range(rows):
-        others = [b for b in range(rows) if b != i]
-        positives = [p for p in others if labels[p] == labels[i]]
+        label, row, norm, row_exps = labels[i], reps[i], norms[i], exps[i]
+        positives = [p for p in range(rows) if p != i and labels[p] == label]
         if not positives:
             raise ValueError(f"row {i} has no same-label partner in the batch")
         for b in range(i + 1, rows):
-            if norms[i] == 0.0 or norms[b] == 0.0:
+            if norm == 0.0 or norms[b] == 0.0:
                 raise ValueError("zero-norm representation row")
-            cos = float(np.dot(reps[i], reps[b])) / (norms[i] * norms[b])
-            exps[i][b] = exps[b][i] = math.exp(cos / tau)
-        denominator = sum(exps[i][b] for b in others)
+            cos = float(np.dot(row, reps[b])) / (norm * norms[b])
+            row_exps[b] = exps[b][i] = math.exp(cos / tau)
+        # B(i) is every row but i; row i's own entry is 0.0, which adds nothing.
+        denominator = sum(row_exps)
         total = 0.0
         for p in positives:
-            total += math.log(exps[i][p] / denominator)
+            total += math.log(row_exps[p] / denominator)
         losses.append(-total / len(positives))
     return sum(losses) / rows
 
@@ -260,8 +262,9 @@ def grad_check(
     denominator is max(|analytic|, |numeric|, floor), the floor being where
     the differences' roundoff, about eps * max(1, |loss|, 1/tau) / h, would
     read as a tenth of ``GRADIENT_TOLERANCE`` (never below 1e-8): a smaller
-    derivative cannot be told from zero at this step. ``loss_fn`` is the
-    kernel under test, :func:`scl_loss` by default.
+    derivative cannot be told from zero at this step. A NaN error on any
+    coordinate makes the result NaN. ``loss_fn`` is the kernel under test,
+    :func:`scl_loss` by default.
     """
     loss, grad = loss_fn(batch, tau)
     roundoff = sys.float_info.epsilon * max(1.0, abs(loss), 1.0 / tau) / GRADIENT_STEP
@@ -281,5 +284,6 @@ def grad_check(
         numeric = (plus - minus) / (2 * GRADIENT_STEP)
         analytic = grad[i, j]
         err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), floor)
-        max_err = max(max_err, err)
+        if err > max_err or math.isnan(err):  # plain max() would drop a NaN
+            max_err = err
     return max_err

@@ -13,6 +13,7 @@ they are set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -69,7 +70,7 @@ def random_batch(rng: np.random.Generator) -> ReprBatch:
     for _ in range(100):
         cfg = SclConfig(dropout_p=0.1, rng_seed=int(rng.integers(2**32)))
         batch = extend_batch(reps, labels, cfg)
-        if np.linalg.norm(batch.reps, axis=1).min() > 0.0:
+        if (batch.reps * batch.reps).sum(axis=1).min() > 0.0:  # no zero-norm row
             return batch
     raise RuntimeError("could not draw a batch without zero-norm rows")
 
@@ -93,8 +94,10 @@ def _run_suite(
     for _ in range(batches):
         batch = random_batch(rng)
         err = error_fn(batch)
-        max_err = max(max_err, err)
-        if err >= tolerance:
+        # A NaN error compares false both ways: it must still fail, and stay the max.
+        if err > max_err or math.isnan(err):
+            max_err = err
+        if not err < tolerance:
             failures += 1
             if first is None:
                 labels = [str(label) for label in batch.labels]
@@ -152,8 +155,9 @@ def save_failure(result: VerificationResult, path: str | Path) -> Path:
     """Serialize the first offending batch of a failed suite for replay."""
     if result.first_failure is None:
         raise ValueError("suite has no recorded failure")
+    payload = {"suite": result.name, **result.first_failure}
+    if not math.isfinite(payload["error"]):
+        payload["error"] = None  # JSON has no NaN or infinity
     path = Path(path)
-    path.write_text(
-        json.dumps({"suite": result.name, **result.first_failure}, indent=2), encoding="utf-8"
-    )
+    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return path

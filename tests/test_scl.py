@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acosgen import scl
+from acosgen import scl, verify
 from acosgen.scl import (
     GRADIENT_TOLERANCE,
     ReprBatch,
@@ -386,6 +386,20 @@ class TestReferenceOracle:
             f"tau {tau!r} at 4 rows is outside the oracle's domain: not positive and finite"
         )
 
+    @pytest.mark.parametrize("tau, strings", [(0.25, False), (0.01, False), (0.25, True)])
+    def test_equals_double_summation_on_scl_check_batches(self, tau, strings):
+        # scl-check's own inputs: numpy labels, 1-8 sources and their dropout views.
+        rng = np.random.default_rng(21)
+        sources = set()
+        for _ in range(300):
+            batch = random_batch(rng)
+            if strings:
+                batch = replace(batch, labels=np.array(["neg", "neu", "pos"])[batch.labels])
+            assert batch.labels.dtype.kind == ("U" if strings else "i")
+            sources.add(batch.num_rows // 2)
+            assert reference_scl_loss(batch, tau) == double_summation(batch, tau)
+        assert sources == set(range(1, 9))
+
     def test_sharpest_tau_in_domain_matches_double_summation(self):
         # Near the underflow bound the antipodal ratio is subnormal but not 0.
         assert reference_scl_loss(self.ANTIPODAL, 0.0028) == double_summation(
@@ -526,6 +540,52 @@ class TestVerifySuites:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert list(payload) == ["suite", "tau", "error", "reps", "labels"]
 
+    def test_a_nan_error_fails_and_stays_the_max(self):
+        # A NaN compares false with everything: neither max() nor >= would see it.
+        calls = []
+
+        def nan_first(batch, tau):
+            loss, grad = scl_loss(batch, tau)
+            calls.append(batch)
+            return (math.nan if len(calls) == 1 else loss), grad
+
+        result = oracle_suite(batches=5, tau=0.25, seed=0, loss_fn=nan_first)
+        assert result.failures == 1 and math.isnan(result.max_error)
+        assert result.summary() == "loss oracle: 4/5 within 1e-09 (max err nan) FAILED"
+
+    def test_failure_file_is_strict_json_for_a_nan_error(self, tmp_path):
+        def nan_loss(batch, tau):
+            return math.nan, scl_loss(batch, tau)[1]
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        result = oracle_suite(batches=1, tau=0.25, seed=0, loss_fn=nan_loss)
+        path = save_failure(result, tmp_path / "f.json")
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        assert payload["error"] is None
+
+    def test_random_batch_redraws_a_zeroed_view_row(self, monkeypatch):
+        # Stream 5's seventh batch has dim 2, and its first dropout draw zeroes
+        # a view row; the batch returned is the one a norm test would pick.
+        drawn = []
+
+        def recording(*args):
+            drawn.append(extend_batch(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify, "extend_batch", recording)
+        rng, old_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(7):
+            drawn.clear()
+            batch = random_batch(rng)
+            expected = norm_tested_random_batch(old_rng)
+            assert np.array_equal(batch.reps, expected.reps)
+            assert np.array_equal(batch.labels, expected.labels)
+        assert batch.reps.shape[1] == 2 and len(drawn) == 2
+        assert (drawn[0].reps == 0.0).all(axis=1).any()
+        assert (batch.reps != 0.0).any(axis=1).all()
+
     def test_negative_batch_count_rejected(self):
         for suite in (oracle_suite, gradient_suite):
             with pytest.raises(ValueError, match="batches must be >= 0, got -1"):
@@ -541,6 +601,20 @@ class TestVerifySuites:
         gradient = gradient_suite(batches=8, tau=0.05, seed=2)
         assert oracle.passed, oracle.summary()
         assert gradient.passed, gradient.summary()
+
+
+def norm_tested_random_batch(rng):
+    """verify.random_batch with its zero-norm test written as np.linalg.norm."""
+    n = int(rng.integers(1, 9))
+    dim = int(rng.integers(2, 17))
+    reps = rng.standard_normal((n, dim))
+    labels = rng.integers(0, int(rng.integers(1, 4)), size=n)
+    for _ in range(100):
+        cfg = SclConfig(dropout_p=0.1, rng_seed=int(rng.integers(2**32)))
+        batch = extend_batch(reps, labels, cfg)
+        if np.linalg.norm(batch.reps, axis=1).min() > 0.0:
+            return batch
+    raise RuntimeError("could not draw a batch without zero-norm rows")
 
 
 # Kernel mutants: (fragment of scl_loss's source, its replacement, the gates
@@ -562,6 +636,11 @@ MUTANTS = {
     ),
     "row max left out of the log-sum-exp": (
         "lse = row_max + np.log(denom)", "lse = np.log(denom)", {"oracle", "gradient"}
+    ),
+    # A NaN error compares false with the tolerance; it must fail all the same.
+    "NaN loss": ("return loss, g", "return math.nan, g", {"oracle", "gradient"}),
+    "one NaN gradient entry": (
+        "return loss, g", "g[0, 0] = math.nan; return loss, g", {"gradient"}
     ),
 }
 
@@ -587,4 +666,4 @@ def test_gates_catch_kernel_mutants(name):
         # The suite's error is grad_check's: replaying the saved batch fails it too.
         failure = gradient.first_failure
         batch = ReprBatch(np.array(failure["reps"]), np.array(failure["labels"]))
-        assert grad_check(batch, failure["tau"], loss_fn=loss_fn) >= GRADIENT_TOLERANCE
+        assert not grad_check(batch, failure["tau"], loss_fn=loss_fn) < GRADIENT_TOLERANCE
