@@ -6,8 +6,9 @@ implicit/explicit splits, and a numerically verified supervised contrastive
 objective with a toy training demo.
 
 Only the contrastive half (``scl``, ``demo``, ``verify``, ``synth``) needs
-numpy. It is imported on first use of one of its names here, so the text
-pipeline (load, linearize, parse, score) and ``SclConfig`` load without it.
+numpy. Nothing of it is exported here; each of those submodules is imported
+on first use as ``acosgen.<name>``, so the text pipeline (load, linearize,
+parse, score), ``SclConfig`` and ``from acosgen import *`` load without numpy.
 """
 
 from importlib import import_module
@@ -40,13 +41,6 @@ from .parse import ParseOutcome, PredictedQuad, parse_output, read_predictions
 
 # Served by __getattr__ below.
 _NUMPY_SUBMODULES = frozenset({"scl", "demo", "verify", "synth"})
-_SCL_EXPORTS = (
-    "ReprBatch",
-    "extend_batch",
-    "grad_check",
-    "reference_scl_loss",
-    "scl_loss",
-)
 
 __all__ = [
     "IMPLICIT",
@@ -76,17 +70,13 @@ __all__ = [
     "parse_output",
     "read_predictions",
     "SclConfig",
-    *_SCL_EXPORTS,
 ]
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import the contrastive half on first use of one of its names (PEP 562)."""
+    """Import a submodule of the contrastive half on first use (PEP 562)."""
     if name in _NUMPY_SUBMODULES:
         return import_module(f".{name}", __name__)
-    if name in _SCL_EXPORTS:
-        globals()[name] = value = getattr(import_module(".scl", __name__), name)
-        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

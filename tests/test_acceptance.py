@@ -24,9 +24,9 @@ from acosgen.demo import toy_demo
 from acosgen.evaluate import dataset_stats, score
 from acosgen.linearize import FormatStyle, linearize_example
 from acosgen.parse import parse_output
-from acosgen.scl import ReprBatch, SclConfig, extend_batch, grad_check, reference_scl_loss, scl_loss
+from acosgen.scl import ReprBatch, SclConfig, extend_batch, scl_loss
 from acosgen.synth import make_synthetic_corpus
-from acosgen.verify import random_batch
+from acosgen.verify import grad_check, random_batch, reference_scl_loss
 from acosgen.configs import default_category_map
 
 from test_evaluate import (

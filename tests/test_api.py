@@ -153,14 +153,42 @@ def test_package_serves_the_contrastive_half_on_first_use():
         acosgen.cli._build_parser()
         numpy_on_import = "numpy" in sys.modules
         modules = [getattr(acosgen, name).__name__ for name in ("scl", "demo", "verify", "synth")]
-        from acosgen import scl_loss
-
         missing = [name for name in acosgen.__all__ if not hasattr(acosgen, name)]
-        same = [scl_loss is acosgen.scl.scl_loss, acosgen.SclConfig is acosgen.scl.SclConfig]
-        print(json.dumps([numpy_on_import, modules, missing, same]))
+        print(json.dumps([numpy_on_import, modules, missing, acosgen.SclConfig is acosgen.scl.SclConfig]))
     """
     modules = ["acosgen.scl", "acosgen.demo", "acosgen.verify", "acosgen.synth"]
-    assert run_fresh(script) == [False, modules, [], [True, True]]
+    assert run_fresh(script) == [False, modules, [], True]
+
+
+def test_contrastive_names_have_one_home():
+    """The kernel's names live in ``acosgen.scl`` and its checks in ``acosgen.verify``,
+    with no second path at the package root or in ``scl``."""
+    kernel = ["ReprBatch", "extend_batch", "scl_loss"]
+    checks = ["reference_scl_loss", "_check_oracle_tau", "grad_check", "GRADIENT_STEP", "GRADIENT_TOLERANCE"]
+    scl, verify = acosgen.scl, acosgen.verify
+    assert [n for n in kernel + checks if hasattr(acosgen, n)] == []
+    assert [n for n in checks if hasattr(scl, n)] == []
+    assert [n for n in kernel if not hasattr(scl, n)] == []
+    assert [n for n in checks if not hasattr(verify, n)] == []
+
+
+@pytest.mark.parametrize("numpy_state", ["blocked", "installed"])
+def test_star_import_needs_no_numpy(numpy_state):
+    """The package root exports only the numpy-free half: a star import works where numpy
+    cannot be imported, and leaves it unloaded where it can."""
+    script = """
+        import json, sys
+
+        if sys.argv[1] == "blocked":
+            sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+        import acosgen
+        from acosgen import *
+
+        acosgen.SclConfig()
+        missing = [name for name in acosgen.__all__ if name not in globals()]
+        print(json.dumps([sys.modules.get("numpy") is not None, missing]))
+    """
+    assert run_fresh(script, numpy_state) == [False, []]
 
 
 def test_patched_cli_names_are_the_ones_scl_commands_call(tmp_path):

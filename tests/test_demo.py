@@ -19,8 +19,9 @@ from acosgen.demo import (
     toy_demo,
     train_head,
 )
-from acosgen.scl import GRADIENT_TOLERANCE, ReprBatch, SclConfig, grad_check
+from acosgen.scl import ReprBatch, SclConfig
 from acosgen.synth import make_synthetic_corpus
+from acosgen.verify import GRADIENT_TOLERANCE, grad_check
 
 from conftest import example_from_line
 

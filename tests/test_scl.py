@@ -10,20 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acosgen import scl, verify
-from acosgen.scl import (
-    GRADIENT_TOLERANCE,
-    ReprBatch,
-    SclConfig,
-    extend_batch,
-    grad_check,
-    reference_scl_loss,
-    scl_loss,
-)
+from acosgen.scl import ReprBatch, SclConfig, extend_batch, scl_loss
 from acosgen.verify import (
+    GRADIENT_TOLERANCE,
     ORACLE_TOLERANCE,
+    grad_check,
     gradient_suite,
     oracle_suite,
     random_batch,
+    reference_scl_loss,
     save_failure,
 )
 
@@ -399,6 +394,30 @@ class TestReferenceOracle:
             sources.add(batch.num_rows // 2)
             assert reference_scl_loss(batch, tau) == double_summation(batch, tau)
         assert sources == set(range(1, 9))
+
+    def test_does_not_call_the_kernel(self, monkeypatch):
+        # verify imports scl_loss beside the oracle, which must stay independent of it.
+        batches = [random_batch(np.random.default_rng(seed)) for seed in range(6)]
+
+        def outcomes():
+            losses = [reference_scl_loss(batch, tau) for batch in batches for tau in (0.25, 0.01)]
+            domain = []
+            for tau, rows in [(0.25, 4), (0.0028, 4), (0.001, 4), (0.002, 16), (math.nan, 2)]:
+                try:
+                    domain.append(verify._check_oracle_tau(tau, rows))
+                except ValueError as exc:
+                    domain.append(str(exc))
+            return losses, domain
+
+        expected = outcomes()
+
+        def kernel(*args, **kwargs):
+            raise RuntimeError("the oracle called scl_loss")
+
+        monkeypatch.setattr(verify, "scl_loss", kernel)
+        monkeypatch.setattr(scl, "scl_loss", kernel)
+        assert outcomes() == expected
+        assert expected[1][:2] == [None, None] and all(expected[1][2:])
 
     def test_sharpest_tau_in_domain_matches_double_summation(self):
         # Near the underflow bound the antipodal ratio is subnormal but not 0.
