@@ -93,17 +93,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of a text table")
 
     p = sub.add_parser("stats", help="dataset statistics")
+    p.set_defaults(run=_cmd_stats)
     dataset_arg(p)
     json_arg(p)
     out_arg(p)
 
     p = sub.add_parser("linearize", help="write one generation target per example")
+    p.set_defaults(run=_cmd_linearize)
     dataset_arg(p)
     map_arg(p)
     style_arg(p)
     out_arg(p)
 
     p = sub.add_parser("evaluate", help="score a predictions file against gold")
+    p.set_defaults(run=_cmd_evaluate)
     dataset_arg(p)
     p.add_argument(
         "--predictions",
@@ -117,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cfg = SclConfig()
     p = sub.add_parser("scl-check", help="run loss-oracle and gradient verification suites")
+    p.set_defaults(run=_cmd_scl_check)
     for flag, kind, default, what in (
         ("--seed", int, 0, "seed of both suites' random batches"),
         ("--tau", float, cfg.tau, "SCL temperature"),
@@ -127,6 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=kind, default=default, help=f"{what} (default: %(default)s)")
 
     p = sub.add_parser("scl-demo", help="toy contrastive training demo")
+    p.set_defaults(run=_cmd_scl_demo)
     dataset_arg(p, required=False)
     p.add_argument(
         "--synthetic",
@@ -236,19 +241,10 @@ def _cmd_scl_demo(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "linearize": _cmd_linearize,
-    "evaluate": _cmd_evaluate,
-    "scl-check": _cmd_scl_check,
-    "scl-demo": _cmd_scl_demo,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (OSError, ValueError) as exc:  # DatasetError and CategoryMapError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ each example unchecked; directly constructed examples are checked in full.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -342,13 +343,16 @@ class DatasetError(ValueError):
 def read_utf8(path: Path) -> str:
     """The file decoded as UTF-8 with line ends as stored (``Path.read_text`` would turn a
     lone CR into LF), so that :func:`split_lines` alone decides where a line ends. Every
-    reader's file comes through here: each failure has one :class:`DatasetError` wording."""
+    reader's file comes through here: each failure has one :class:`DatasetError` wording.
+    A leading byte-order mark is rejected, not skipped, so a file round-trips byte for byte."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise DatasetError(f"no such file: {path}") from None
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
+    if data.startswith(codecs.BOM_UTF8):
+        raise DatasetError("starts with a UTF-8 byte-order mark", path=str(path), line=1)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

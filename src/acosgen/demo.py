@@ -217,6 +217,8 @@ def train_head(
 
     Reads no state but its arguments, so the heads can train at the same time.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     return _resume(_head_steps(pooled, characteristic, labels, cfg, steps), steps + 1)
 
 

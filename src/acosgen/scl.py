@@ -4,7 +4,7 @@ In GEN-SCL, mean-pooled encoder states pass through one head per
 characteristic (sentiment, aspect, opinion), and training adds each
 characteristic's loss, weighted by ``SclConfig.alpha``, to the seq2seq
 cross-entropy. This module holds that loss. ``SclConfig`` lives in the
-numpy-free ``configs`` and is re-exported here; ``demo.toy_demo`` owns its toy
+numpy-free ``configs``; ``demo.toy_demo`` owns its toy
 encoder and heads. A mini-batch of N representations is extended with one
 dropout-altered view per element (labels preserved) so every row has at least
 one same-label partner; the per-row loss is then
@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .configs import SclConfig
+if TYPE_CHECKING:
+    from .configs import SclConfig
 
 __all__ = [
-    "SclConfig",
     "ReprBatch",
     "extend_batch",
     "scl_loss",

@@ -111,6 +111,18 @@ def _quad_sentiments(label: str, n: int, rng: np.random.Generator) -> list[Senti
     return sentiments
 
 
+def _place_term(
+    rng: np.random.Generator, tokens: list[str], explicit: bool, terms: tuple
+) -> tuple[Span | object, str]:
+    """Append a drawn term to ``tokens``; return its ``(span, text)``, or ``(IMPLICIT, "")``."""
+    if not explicit:
+        return IMPLICIT, ""
+    term = _choose(rng, terms)
+    start = len(tokens)
+    tokens.extend(term.split())
+    return Span(start, len(tokens)), term
+
+
 def make_synthetic_corpus(n: int, seed: int) -> list[Example]:
     """Generate ``n`` examples with 1-3 quads each, deterministic given ``seed``."""
     if n < len(_LABEL_SCHEDULE):
@@ -120,13 +132,12 @@ def make_synthetic_corpus(n: int, seed: int) -> list[Example]:
     examples: list[Example] = []
     for i in range(n):
         if i < len(_LABEL_SCHEDULE):
-            sent_label, aspect_label, opinion_label = _LABEL_SCHEDULE[i]
+            labels = _LABEL_SCHEDULE[i]
         else:
-            sent_label = _choose(rng, ("positive", "negative", "neutral", "mixed"))
-            aspect_label = _choose(rng, ("all-explicit", "all-implicit", "mixed"))
-            opinion_label = _choose(rng, ("all-explicit", "all-implicit", "mixed"))
+            labels = tuple(_choose(rng, tuple(pools)) for pools in _MARKERS.values())
+        sent_label, aspect_label, opinion_label = labels
 
-        needs_two = "mixed" in (sent_label, aspect_label, opinion_label)
+        needs_two = "mixed" in labels
         n_quads = int(rng.integers(2, 4)) if needs_two else int(rng.integers(1, 4))
 
         aspect_flags = _quad_flags(aspect_label, n_quads, rng)
@@ -139,42 +150,14 @@ def make_synthetic_corpus(n: int, seed: int) -> list[Example]:
         tokens: list[str] = [_choose(rng, _FILLERS) for _ in range(int(rng.integers(1, 3)))]
         quads: list[Quadruple] = []
         for j in range(n_quads):
-            if aspect_flags[j]:
-                term = _choose(rng, _ASPECT_TERMS)
-                start = len(tokens)
-                tokens.extend(term.split())
-                aspect_span: Span | object = Span(start, len(tokens))
-                aspect_text = term
-            else:
-                aspect_span, aspect_text = IMPLICIT, ""
+            aspect = _place_term(rng, tokens, aspect_flags[j], _ASPECT_TERMS)
             tokens.append(_choose(rng, _FILLERS))
-            if opinion_flags[j]:
-                term = _choose(rng, _OPINION_TERMS)
-                start = len(tokens)
-                tokens.extend(term.split())
-                opinion_span: Span | object = Span(start, len(tokens))
-                opinion_text = term
-            else:
-                opinion_span, opinion_text = IMPLICIT, ""
+            opinion = _place_term(rng, tokens, opinion_flags[j], _OPINION_TERMS)
             tokens.append(_choose(rng, _FILLERS))
-            quads.append(
-                Quadruple(
-                    aspect_span=aspect_span,
-                    aspect_text=aspect_text,
-                    category=quad_categories[j],
-                    opinion_span=opinion_span,
-                    opinion_text=opinion_text,
-                    sentiment=sentiments[j],
-                )
-            )
+            quads.append(Quadruple(*aspect, quad_categories[j], *opinion, sentiments[j]))
 
-        for characteristic, label in (
-            ("sentiment", sent_label),
-            ("aspect", aspect_label),
-            ("opinion", opinion_label),
-        ):
-            pool = _MARKERS[characteristic][label]
-            tokens.extend(_choose(rng, pool) for _ in range(2))
+        for pools, label in zip(_MARKERS.values(), labels):
+            tokens.extend(_choose(rng, pools[label]) for _ in range(2))
 
         examples.append(Example(id=f"synth-{i:04d}", text=" ".join(tokens), quads=tuple(quads)))
     return examples

@@ -24,10 +24,10 @@ from acosgen.demo import toy_demo
 from acosgen.evaluate import dataset_stats, score
 from acosgen.linearize import FormatStyle, linearize_example
 from acosgen.parse import parse_output
-from acosgen.scl import ReprBatch, SclConfig, extend_batch, scl_loss
+from acosgen.scl import ReprBatch, extend_batch, scl_loss
 from acosgen.synth import make_synthetic_corpus
 from acosgen.verify import grad_check, random_batch, reference_scl_loss
-from acosgen.configs import default_category_map
+from acosgen.configs import SclConfig, default_category_map
 
 from test_evaluate import (
     brute_force_prf, gold_example_for_keys, random_key, random_key_set, score_keys,

@@ -154,7 +154,7 @@ def test_package_serves_the_contrastive_half_on_first_use():
         numpy_on_import = "numpy" in sys.modules
         modules = [getattr(acosgen, name).__name__ for name in ("scl", "demo", "verify", "synth")]
         missing = [name for name in acosgen.__all__ if not hasattr(acosgen, name)]
-        print(json.dumps([numpy_on_import, modules, missing, acosgen.SclConfig is acosgen.scl.SclConfig]))
+        print(json.dumps([numpy_on_import, modules, missing, acosgen.SclConfig is acosgen.configs.SclConfig]))
     """
     modules = ["acosgen.scl", "acosgen.demo", "acosgen.verify", "acosgen.synth"]
     assert run_fresh(script) == [False, modules, [], True]
@@ -162,12 +162,12 @@ def test_package_serves_the_contrastive_half_on_first_use():
 
 def test_contrastive_names_have_one_home():
     """The kernel's names live in ``acosgen.scl`` and its checks in ``acosgen.verify``,
-    with no second path at the package root or in ``scl``."""
+    with no second path at the package root or in ``scl``; ``SclConfig`` is not in ``scl``."""
     kernel = ["ReprBatch", "extend_batch", "scl_loss"]
     checks = ["reference_scl_loss", "_check_oracle_tau", "grad_check", "GRADIENT_STEP", "GRADIENT_TOLERANCE"]
     scl, verify = acosgen.scl, acosgen.verify
     assert [n for n in kernel + checks if hasattr(acosgen, n)] == []
-    assert [n for n in checks if hasattr(scl, n)] == []
+    assert [n for n in checks + ["SclConfig"] if hasattr(scl, n)] == []
     assert [n for n in kernel if not hasattr(scl, n)] == []
     assert [n for n in checks if not hasattr(verify, n)] == []
 

@@ -9,9 +9,9 @@ import pytest
 
 from acosgen import cli
 from acosgen.cli import _build_parser, _demo_config, main
+from acosgen.configs import SclConfig
 from acosgen.core import load_dataset
 from acosgen.evaluate import dataset_stats, score
-from acosgen.scl import SclConfig
 
 from conftest import fresh_env
 

@@ -1,3 +1,4 @@
+import codecs
 import copy
 import pickle
 import re
@@ -26,7 +27,7 @@ from acosgen.core import (
 from acosgen.configs import default_category_map
 from acosgen.linearize import CategoryMap
 from acosgen.parse import PredictedQuad, read_predictions
-from acosgen.synth import make_synthetic_corpus
+from acosgen.synth import _LABEL_SCHEDULE, _MARKERS, make_synthetic_corpus
 
 from conftest import MINI_DATASET, example_from_line
 
@@ -134,6 +135,25 @@ class TestLoading:
         ]:
             with pytest.raises(DatasetError, match="^" + re.escape(message)):
                 read(path)
+
+    @pytest.mark.parametrize(
+        "read, content",
+        [
+            (load_dataset, MINI_DATASET),
+            (read_predictions, "the pizza is great\n"),
+            (CategoryMap.from_tsv, "FOOD#QUALITY\tthe food quality\n"),
+        ],
+        ids=["dataset", "predictions", "category-map"],
+    )
+    def test_byte_order_mark_is_rejected_at_line_one(self, tmp_path, read, content):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(content.encode("utf-8"))
+        read(path)  # the same content without the mark reads
+        path.write_bytes(codecs.BOM_UTF8 + content.encode("utf-8"))
+        with pytest.raises(DatasetError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:1: starts with a UTF-8 byte-order mark"
+        assert exc.value.line == 1
 
     def test_loaded_examples_share_spans(self):
         (a, b), _ = parse_dataset_text("a b c\t0,1 C 2 -1,-1\nd e\t0,1 D 1 -1,-1\n")
@@ -419,6 +439,28 @@ class TestLoaderProperties:
         assert [(x.text, x.tokens, x.quads) for x in loaded] == [
             (x.text, x.tokens, x.quads) for x in synth_corpus
         ]
+
+
+class TestSyntheticCorpus:
+    @pytest.mark.parametrize("n", [6, 50, 200])
+    def test_each_example_ends_with_two_markers_per_label(self, n):
+        for seed in range(10):
+            for x in make_synthetic_corpus(n, seed):
+                labels = characteristic_labels(x)
+                tail = x.tokens[-2 * len(_MARKERS):]
+                expected = [
+                    _MARKERS[c][getattr(labels, c)] for c in _MARKERS for _ in range(2)
+                ]
+                assert [t for t, pool in zip(tail, expected) if t not in pool] == [], x.id
+
+    def test_first_examples_walk_the_label_schedule(self):
+        corpus = make_synthetic_corpus(len(_LABEL_SCHEDULE), seed=3)
+        labels = [tuple(getattr(characteristic_labels(x), c) for c in _MARKERS) for x in corpus]
+        assert labels == list(_LABEL_SCHEDULE)
+
+    def test_too_few_examples_for_the_schedule_raise(self):
+        with pytest.raises(ValueError, match="need at least 6 examples"):
+            make_synthetic_corpus(len(_LABEL_SCHEDULE) - 1, seed=0)
 
 
 class TestSerialization:

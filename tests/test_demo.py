@@ -19,7 +19,8 @@ from acosgen.demo import (
     toy_demo,
     train_head,
 )
-from acosgen.scl import ReprBatch, SclConfig
+from acosgen.configs import SclConfig
+from acosgen.scl import ReprBatch
 from acosgen.synth import make_synthetic_corpus
 from acosgen.verify import GRADIENT_TOLERANCE, grad_check
 
@@ -111,6 +112,12 @@ class TestToyDemo:
             toy_demo([], SclConfig(), steps=1)
         with pytest.raises(ValueError):
             toy_demo(small_corpus, SclConfig(), steps=-1)
+
+    def test_train_head_rejects_negative_steps(self, small_corpus):
+        pooled = encode_corpus(small_corpus, 0)
+        labels = [characteristic_labels(x).sentiment for x in small_corpus]
+        with pytest.raises(ValueError, match="^steps must be >= 0$"):
+            train_head(pooled, "sentiment", labels, SclConfig(), steps=-1)
 
 
 # Step counts either side of a turn's end, where a head goes back on the queue.

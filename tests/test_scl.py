@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acosgen import scl, verify
-from acosgen.scl import ReprBatch, SclConfig, extend_batch, scl_loss
+from acosgen.configs import SclConfig
+from acosgen.scl import ReprBatch, extend_batch, scl_loss
 from acosgen.verify import (
     GRADIENT_TOLERANCE,
     ORACLE_TOLERANCE,
