@@ -133,14 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scl-demo", help="toy contrastive training demo")
     p.set_defaults(run=_cmd_scl_demo)
     dataset_arg(p, required=False)
-    p.add_argument(
-        "--synthetic",
-        type=int,
-        default=200,
-        help="synthetic examples to train on without --dataset (default: %(default)s)",
-    )
-    p.add_argument("--steps", type=int, default=150, help="training steps (default: %(default)s)")
     for flag, kind, default, what in (
+        ("--synthetic", int, 200, "synthetic examples to train on without --dataset"),
+        ("--steps", int, 150, "training steps"),
         ("--seed", int, cfg.rng_seed, "seed of every random draw in the demo"),
         ("--tau", float, cfg.tau, "SCL temperature"),
         ("--alpha", float, cfg.alpha, "each head's SCL weight, >= 0; 0 turns SCL off"),

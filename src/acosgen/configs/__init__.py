@@ -31,24 +31,22 @@ _FILES = {
 DATASETS = tuple(_FILES)
 
 
-def _canonical(name: str) -> str:
-    key = name.strip().lower().replace("_", "-")
-    if key not in _FILES:
-        raise KeyError(f"unknown dataset {name!r}; expected one of {DATASETS}")
-    return key
+def _shipped(name: str) -> Path | None:
+    """The shipped map file a dataset name denotes, or ``None`` for any other name."""
+    file = _FILES.get(name.strip().lower().replace("_", "-"))
+    return Path(__file__).with_name(file) if file else None
 
 
 def default_category_map(dataset: str) -> CategoryMap:
-    return CategoryMap.from_tsv(Path(__file__).with_name(_FILES[_canonical(dataset)]))
+    path = _shipped(dataset)
+    if path is None:
+        raise KeyError(f"unknown dataset {dataset!r}; expected one of {DATASETS}")
+    return CategoryMap.from_tsv(path)
 
 
 def resolve_category_map(spec: str) -> CategoryMap:
     """Resolve a CLI/category-map argument: shipped dataset name or TSV path."""
-    try:
-        return default_category_map(spec)
-    except KeyError:
-        pass
-    return CategoryMap.from_tsv(spec)
+    return CategoryMap.from_tsv(_shipped(spec) or spec)
 
 
 @dataclass(frozen=True)

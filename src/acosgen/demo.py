@@ -17,12 +17,12 @@ import math
 import queue
 import threading
 from collections.abc import Generator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import Example, characteristic_labels
+from .core import CharacteristicLabels, Example, characteristic_labels
 from .configs import SclConfig
 from .scl import _extend_with_mask, scl_loss
 
@@ -36,7 +36,7 @@ __all__ = [
     "export_representations",
 ]
 
-CHARACTERISTICS = ("sentiment", "aspect", "opinion")
+CHARACTERISTICS = tuple(f.name for f in fields(CharacteristicLabels))
 ENCODER_DIM = 32
 HEAD_DIM = 32
 LEARNING_RATE = 40.0

@@ -62,9 +62,9 @@ class CategoryMapError(ValueError):
 class CategoryMap:
     """Invertible mapping from raw category labels to natural descriptions.
 
-    Descriptions must be unique (the inverse lookup drives parsing) and must
-    not contain the output grammar's separator tokens. ``entries`` is a
-    mapping or an iterable of ``(raw, description)`` pairs.
+    Descriptions must be unique (the inverse lookup drives parsing); neither
+    labels nor descriptions may contain the output grammar's separator tokens.
+    ``entries`` is a mapping or an iterable of ``(raw, description)`` pairs.
     """
 
     def __init__(self, entries: Mapping[str, str] | Iterable[tuple[str, str]]):
@@ -76,6 +76,7 @@ class CategoryMap:
             if not raw or not description:
                 raise CategoryMapError(f"empty label or description in entry {raw!r} -> {description!r}")
             try:
+                check_reserved(raw, "label")
                 check_reserved(description, "description")
             except ValueError as exc:
                 raise CategoryMapError(str(exc)) from None
@@ -165,7 +166,7 @@ def linearize_quad(q: Quadruple, style: FormatStyle, category_map: CategoryMap) 
         return f"{description} | {aspect_part} is {opinion} | {GEN_NAT_SENTIMENT[q.sentiment]}"
     if style is FormatStyle.PARAPHRASE:
         return f"{q.category} is {PARAPHRASE_SENTIMENT[q.sentiment]} because {aspect} is {opinion}"
-    raise ValueError(f"unknown format style {style!r}")
+    raise ValueError(f"style must be a FormatStyle, got {style!r}")
 
 
 def _scan_key(q: Quadruple) -> tuple:
@@ -179,9 +180,8 @@ def _scan_key(q: Quadruple) -> tuple:
     a, o = q.aspect_span, q.opinion_span
     a_start, a_end = (-1, -1) if a is IMPLICIT else (a.start, a.end)
     o_start, o_end = (-1, -1) if o is IMPLICIT else (o.start, o.end)
-    if a_end < 0 and o_end < 0:
-        return (1, 0, -1, -1, -1, -1, q.category, int(q.sentiment))
-    return (0, max(a_end, o_end), a_start, o_start, a_end, o_end, q.category, int(q.sentiment))
+    last = max(a_end, o_end)
+    return (last < 0, last, a_start, o_start, a_end, o_end, q.category, int(q.sentiment))
 
 
 def order_quads(x: Example) -> list[Quadruple]:

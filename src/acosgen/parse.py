@@ -83,18 +83,23 @@ class ParseOutcome:
     dropped: int
 
 
-def _split_aspect_opinion(text: str) -> tuple[str | _Implicit, str | _Implicit] | None:
-    """Invert ``the <aspect> is <opinion>`` / ``it is <opinion>``; ``None`` if neither."""
+def _split_terms(text: str, article: bool) -> tuple[str | _Implicit, str | _Implicit] | None:
+    """Invert ``<aspect> is <opinion>`` at the last ``" is "``; ``None`` if a side is empty.
+
+    ``it`` and ``null`` are the implicit terms. With ``article`` (gen-nat) the aspect is
+    ``the <aspect>`` or ``it``. ``text`` is already stripped.
+    """
     head, _, tail = text.rpartition(" is ")
     head = head.strip()
     tail = tail.strip()
     # Accept both "it is ..." and the literal-template "the it is ...". Any whitespace run
     # may follow the article, but "theory" and a lone "the" are no article.
-    if head.startswith("the") and head[3:4].isspace():
-        head = head[4:].lstrip()
-    elif head != IMPLICIT_ASPECT_WORD:  # also when there is no " is ": head is then ""
-        return None
-    if not tail:
+    if article:
+        if head.startswith("the") and head[3:4].isspace():
+            head = head[4:].lstrip()
+        elif head != IMPLICIT_ASPECT_WORD:
+            return None
+    if not (head and tail):  # also when there is no " is ": head is then ""
         return None
     aspect: str | _Implicit = IMPLICIT if head == IMPLICIT_ASPECT_WORD else head
     opinion: str | _Implicit = IMPLICIT if tail == IMPLICIT_OPINION_WORD else tail
@@ -106,7 +111,7 @@ def _parse_gen_nat_segment(segment: str, category_map: CategoryMap) -> Predicted
     if len(fields) != 3:
         return None
     category = category_map.raw_for_description(fields[0])
-    terms = _split_aspect_opinion(fields[1])
+    terms = _split_terms(fields[1], True)
     sentiment = _SENTIMENT_BY_WORD.get(fields[2].lower())
     if category is None or terms is None or sentiment is None:
         return None
@@ -114,20 +119,15 @@ def _parse_gen_nat_segment(segment: str, category_map: CategoryMap) -> Predicted
 
 
 def _parse_paraphrase_segment(segment: str, category_map: CategoryMap) -> PredictedQuad | None:
-    head, because, tail = segment.partition(" because ")
-    category, is_before, sentiment_word = head.strip().rpartition(" is ")
-    aspect_part, is_after, opinion_part = tail.strip().rpartition(" is ")
+    head, _, tail = segment.partition(" because ")
+    category, _, sentiment_word = head.strip().rpartition(" is ")
     category = category.strip()
-    aspect_part = aspect_part.strip()
-    opinion_part = opinion_part.strip()
     sentiment = _SENTIMENT_BY_PARAPHRASE.get(sentiment_word.strip().lower())
-    if not (because and is_before and is_after and aspect_part and opinion_part):
+    terms = _split_terms(tail.strip(), False)
+    # A missing " because " or " is " leaves a part empty: no label is empty, nor a term.
+    if terms is None or sentiment is None or category not in category_map:
         return None
-    if sentiment is None or category not in category_map:
-        return None
-    aspect: str | _Implicit = IMPLICIT if aspect_part == IMPLICIT_ASPECT_WORD else aspect_part
-    opinion: str | _Implicit = IMPLICIT if opinion_part == IMPLICIT_OPINION_WORD else opinion_part
-    return PredictedQuad(aspect, category, opinion, sentiment)
+    return PredictedQuad(terms[0], category, terms[1], sentiment)
 
 
 def parse_output(s: str, style: FormatStyle, category_map: CategoryMap) -> ParseOutcome:
@@ -145,7 +145,7 @@ def parse_output(s: str, style: FormatStyle, category_map: CategoryMap) -> Parse
     elif style is FormatStyle.PARAPHRASE:
         parse_segment = _parse_paraphrase_segment
     else:
-        raise ValueError(f"unknown format style {style!r}")
+        raise ValueError(f"style must be a FormatStyle, got {style!r}")
     quads: dict[tuple, PredictedQuad] = {}  # by match key: the first of each kept
     dropped = 0
     for raw_segment in s.split(QUAD_SEPARATOR):

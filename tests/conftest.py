@@ -1,3 +1,4 @@
+import inspect
 import os
 import threading
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import acosgen
+from acosgen import scl
 from acosgen.configs import default_category_map
 from acosgen.core import parse_dataset_text
 from acosgen.synth import make_synthetic_corpus
@@ -39,6 +41,15 @@ def example_from_line(line: str, id_prefix: str = "t"):
     """Build a single Example from one dataset TSV line."""
     examples, _ = parse_dataset_text(line, id_prefix=id_prefix)
     return examples[0]
+
+
+def mutant_loss(fragment, replacement):
+    """scl_loss with one source fragment replaced, run in a copy of the module namespace."""
+    source = inspect.getsource(scl.scl_loss)
+    assert not fragment or source.count(fragment) == 1
+    namespace = dict(vars(scl))
+    exec(source.replace(fragment, replacement), namespace)
+    return namespace["scl_loss"]
 
 
 def _live_threads() -> set[threading.Thread]:

@@ -279,14 +279,11 @@ def test_toy_separation_demo():
 # criteria above that must fail under it). The mutant's code replaces the
 # function's own, so every module that imported the function runs the mutant.
 TEXT_MUTANTS = {
-    "unmutated": (parse._split_aspect_opinion, "", "", set()),
-    "gen-nat splits at the first ' is '": (
-        parse._split_aspect_opinion, 'text.rpartition(" is ")', 'text.partition(" is ")',
+    "unmutated": (parse._split_terms, "", "", set()),
+    # Both styles split their terms in this one function.
+    "terms split at the first ' is '": (
+        parse._split_terms, 'text.rpartition(" is ")', 'text.partition(" is ")',
         {"round trip", "self-evaluation"},
-    ),
-    "paraphrase splits at the first ' is '": (
-        parse._parse_paraphrase_segment, 'tail.strip().rpartition(" is ")',
-        'tail.strip().partition(" is ")', {"round trip", "self-evaluation"},
     ),
     # A multiset: the same quad predicted twice counts twice. Only the evaluator
     # oracle sees it, because parse_output drops duplicate quads.

@@ -4,16 +4,19 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from functools import partial
 
+import numpy as np
 import pytest
 
-from acosgen import cli
+from acosgen import cli, verify
 from acosgen.cli import _build_parser, _demo_config, main
 from acosgen.configs import SclConfig
 from acosgen.core import load_dataset
 from acosgen.evaluate import dataset_stats, score
+from acosgen.scl import ReprBatch
 
-from conftest import fresh_env
+from conftest import fresh_env, mutant_loss
 
 DUPLICATE_QUAD_LINE = "a b\t0,1 C 2 1,2\t0,1 C 2 1,2\n"
 
@@ -309,6 +312,36 @@ class TestSclCheck:
         )
         assert (code, out) == (2, "")
         assert err == f"error: tau must be positive and finite, got {float(tau)!r}\n"
+
+    def test_failure_exits_1_and_writes_a_replayable_batch(self, capsys, monkeypatch, tmp_path):
+        # As the benchmark tracer does: the suite bound to another loss through loss_fn, here a
+        # kernel mutant the loss oracle catches.
+        loss_fn = mutant_loss("pos_counts = class_sizes[codes] - 1", "pos_counts = class_sizes[codes]")
+        monkeypatch.setattr(cli, "oracle_suite", partial(verify.oracle_suite, loss_fn=loss_fn))
+        path = tmp_path / "failure.json"
+        code, out, err = run(capsys, "scl-check", "--oracle-batches", "20", "--grad-batches", "0",
+                             "--failure-out", str(path))
+        assert code == 1
+        assert "FAILED" in out.splitlines()[0]
+        assert err == f"first offending batch written to {path}\n"
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        assert list(payload) == ["suite", "tau", "error", "reps", "labels"]
+        # Replayed, the batch gives the mutant the same error the suite saw.
+        batch = ReprBatch(np.array(payload["reps"]), np.array(payload["labels"]))
+        mutant, _ = loss_fn(batch, payload["tau"])
+        reference = verify.reference_scl_loss(batch, payload["tau"])
+        error = abs(mutant - reference) / max(abs(reference), abs(mutant), 1.0)
+        assert error == payload["error"] and not error < verify.ORACLE_TOLERANCE
+
+    def test_no_failure_file_for_a_passing_suite(self, tmp_path):
+        passed = verify.oracle_suite(batches=1, tau=0.25, seed=0)
+        with pytest.raises(ValueError, match="suite has no recorded failure"):
+            cli.save_failure(passed, tmp_path / "f.json")
+        assert not (tmp_path / "f.json").exists()
 
     @pytest.mark.parametrize("tau", ["0.001", "0.0025"])
     def test_tau_outside_oracle_domain_exit_2(self, capsys, tau):

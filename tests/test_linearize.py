@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,26 @@ class TestCategoryMap:
         with pytest.raises(CategoryMapError, match="reserved separator"):
             CategoryMap({"A": "one [SSEP] two"})
 
+    def test_label_with_separator(self, tmp_path):
+        # A paraphrase target carries the raw label verbatim, so a separator in it would
+        # split every such target into segments that parse to nothing.
+        path = tmp_path / "m.tsv"
+        path.write_text("FOOD[SSEP]X\tthe food x\n", encoding="utf-8")
+        clash = f"{path}: label 'FOOD[SSEP]X' contains reserved separator '[SSEP]'"
+        with pytest.raises(CategoryMapError, match=f"^{re.escape(clash)}$"):
+            CategoryMap.from_tsv(path)
+        with pytest.raises(CategoryMapError, match="reserved separator"):
+            CategoryMap({"A|B": "the a b"})
+
+    @pytest.mark.parametrize("text, message", [
+        ("# only a comment\n\n \n", "maps/m.tsv: no entries"),
+        ("A\tthe a\n \tthe b\n", "maps/m.tsv: empty label or description in entry '' -> 'the b'"),
+        ("A\tthe a\nB\t \n", "maps/m.tsv: empty label or description in entry 'B' -> ''"),
+    ], ids=["no entries", "empty label", "empty description"])
+    def test_empty_map_or_entry(self, text, message):
+        with pytest.raises(CategoryMapError, match=f"^{re.escape(message)}$"):
+            CategoryMap.from_text(text, source="maps/m.tsv")
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("# comment\nA#B\tthe a b\n\nC\tthe c\n", encoding="utf-8")
@@ -147,6 +169,11 @@ class TestLinearizeQuad:
         negative = example_from_line("a b\t-1,-1 FOOD#QUALITY 0 -1,-1").quads[0]
         assert "is okay because it is null" in linearize_quad(neutral, FormatStyle.PARAPHRASE, rest_map)
         assert "is bad because it is null" in linearize_quad(negative, FormatStyle.PARAPHRASE, rest_map)
+
+    def test_style_must_be_a_format_style(self, rest_map):
+        x = example_from_line("the pizza was delicious\t1,2 FOOD#QUALITY 2 3,4")
+        with pytest.raises(ValueError, match="^style must be a FormatStyle, got 'gen-nat'$"):
+            linearize_quad(x.quads[0], "gen-nat", rest_map)
 
     def test_unknown_category_raises(self, rest_map):
         x = example_from_line("a b\t0,1 NOT#REAL 2 -1,-1")

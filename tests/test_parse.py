@@ -117,6 +117,12 @@ class TestParaphraseParsing:
         assert q.opinion == IMPLICIT
         assert q.sentiment is SentimentPolarity.NEGATIVE
 
+    def test_whitespace_insensitive(self, rest_map):
+        (q,) = parse_output(
+            " FOOD#QUALITY  is  great  because  pizza  is  good ", FormatStyle.PARAPHRASE, rest_map
+        ).quads
+        assert q.match_key() == ("pizza", "FOOD#QUALITY", "good", SentimentPolarity.POSITIVE)
+
     def test_unknown_raw_category_dropped(self, rest_map):
         out = parse_output("NOT#REAL is great because a is b", FormatStyle.PARAPHRASE, rest_map)
         assert out.dropped == 1
@@ -124,6 +130,17 @@ class TestParaphraseParsing:
     def test_unknown_sentiment_word_dropped(self, rest_map):
         out = parse_output("FOOD#QUALITY is fine because a is b", FormatStyle.PARAPHRASE, rest_map)
         assert out.dropped == 1
+
+    @pytest.mark.parametrize("segment", [
+        "FOOD#QUALITY is great since pizza is good",
+        "great because pizza is good",
+        "FOOD#QUALITY is great because pizza good",
+        "FOOD#QUALITY is great because  is good",
+        "FOOD#QUALITY is great because pizza is ",
+        "FOOD#QUALITY is great because",
+    ])
+    def test_segment_missing_a_part_dropped(self, segment, rest_map):
+        assert parse_output(segment, FormatStyle.PARAPHRASE, rest_map) == ParseOutcome([], 1)
 
 
 class TestRobustness:
@@ -142,6 +159,11 @@ class TestRobustness:
                 if s.strip():
                     assert out.quads == []
                     assert out.dropped == len(s.split("[SSEP]"))
+
+    def test_style_must_be_a_format_style(self, rest_map):
+        # Malformed output is counted, but a plain string is no style.
+        with pytest.raises(ValueError, match="^style must be a FormatStyle, got 'gen-nat'$"):
+            parse_output("the food quality | the pizza is good | positive", "gen-nat", rest_map)
 
     def test_outcome_is_slotted_and_pickles(self, rest_map):
         out = parse_output("the food | the pizza is good | positive [SSEP] x", FormatStyle.GEN_NAT,

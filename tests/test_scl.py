@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import tracemalloc
@@ -22,6 +21,8 @@ from acosgen.verify import (
     reference_scl_loss,
     save_failure,
 )
+
+from conftest import mutant_loss
 
 
 class TestExtendBatch:
@@ -663,15 +664,6 @@ MUTANTS = {
         "return loss, g", "g[0, 0] = math.nan; return loss, g", {"gradient"}
     ),
 }
-
-
-def mutant_loss(fragment, replacement):
-    """scl_loss with one source fragment replaced, run in a copy of the module namespace."""
-    source = inspect.getsource(scl.scl_loss)
-    assert not fragment or source.count(fragment) == 1
-    namespace = dict(vars(scl))
-    exec(source.replace(fragment, replacement), namespace)
-    return namespace["scl_loss"]
 
 
 @pytest.mark.parametrize("name", MUTANTS)
