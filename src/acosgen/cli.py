@@ -179,7 +179,7 @@ def _cmd_linearize(args) -> int:
         try:
             lines.append(linearize_example(example, style, category_map))
         except CategoryMapError as exc:
-            raise CategoryMapError(f"line {line_no}: {exc}") from None
+            raise DatasetError(str(exc), path=str(Path(args.dataset)), line=line_no) from None
     _emit(lines, args.out)
     return 0
 
@@ -238,9 +238,10 @@ def _cmd_scl_demo(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # ImportError: an scl command without numpy. DatasetError and CategoryMapError are ValueErrors.
     try:
         return args.run(args)
-    except (OSError, ValueError) as exc:  # DatasetError and CategoryMapError are ValueErrors
+    except (ImportError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

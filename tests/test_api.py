@@ -80,37 +80,15 @@ def test_tracer_reads_of_the_text_results(mini_examples, rest_map):
     assert (report.counts.num_predicted, report.counts.num_gold) == (2, 2)
 
 
-def run_fresh(script: str, *args: str, **env_changes: str | None) -> list:
-    """Run ``script`` in a new interpreter importing this ``acosgen``; return its JSON stdout."""
+def run_fresh(script: str, *args: str, flags: tuple[str, ...] = (), **env_changes: str | None) -> list:
+    """Run ``script`` in a new interpreter, started with ``flags``, importing this ``acosgen``;
+    return its JSON stdout."""
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script), *args],
+        [sys.executable, *flags, "-c", textwrap.dedent(script), *args],
         capture_output=True, text=True, env=fresh_env(**env_changes), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
-
-
-def test_text_commands_do_not_import_numpy(mini_dataset_file, tmp_path):
-    script = """
-        import contextlib, io, json, sys
-        import acosgen, acosgen.cli
-
-        dataset, targets = sys.argv[1:]
-        text_commands = [
-            ["stats", "--dataset", dataset],
-            ["stats", "--dataset", dataset, "--json"],
-            ["linearize", "--dataset", dataset, "--out", targets],
-            ["evaluate", "--dataset", dataset, "--predictions", targets],
-            ["evaluate", "--dataset", dataset, "--predictions", targets, "--json"],
-        ]
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [acosgen.cli.main(argv) for argv in text_commands]
-            numpy_after_text = "numpy" in sys.modules
-            demo = acosgen.cli.main(["scl-demo", "--synthetic", "8", "--steps", "1"])
-        print(json.dumps([codes, numpy_after_text, demo]))
-    """
-    targets = tmp_path / "targets.txt"
-    assert run_fresh(script, str(mini_dataset_file), str(targets)) == [[0] * 5, False, 0]
 
 
 def test_cli_fills_in_one_blas_thread_before_it_imports_numpy():
@@ -172,23 +150,55 @@ def test_contrastive_names_have_one_home():
     assert [n for n in checks if not hasattr(verify, n)] == []
 
 
-@pytest.mark.parametrize("numpy_state", ["blocked", "installed"])
-def test_star_import_needs_no_numpy(numpy_state):
-    """The package root exports only the numpy-free half: a star import works where numpy
-    cannot be imported, and leaves it unloaded where it can."""
+@pytest.mark.parametrize("numpy_state", ["absent", "installed"])
+def test_star_import_needs_no_numpy(numpy_state, mini_dataset_file, tmp_path):
+    """The package root, the text commands and every --help need no numpy, and leave it
+    unloaded where it is installed. ``absent`` runs with no site-packages (``-I -S``), so no
+    third-party package imports; there each scl command gives one error line and exits 2."""
     script = """
-        import json, sys
+        import contextlib, importlib.util, io, json, sys
 
-        if sys.argv[1] == "blocked":
-            sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+        src, dataset, work = sys.argv[1:]
+        sys.path.insert(0, src)  # -I ignores PYTHONPATH
+        numpy_found = importlib.util.find_spec("numpy") is not None
         import acosgen
         from acosgen import *
+        from acosgen.cli import main
 
         acosgen.SclConfig()
         missing = [name for name in acosgen.__all__ if name not in globals()]
-        print(json.dumps([sys.modules.get("numpy") is not None, missing]))
+        targets = f"{work}/targets.txt"
+        text_commands = [
+            ["stats", "--dataset", dataset],
+            ["stats", "--dataset", dataset, "--json"],
+            ["linearize", "--dataset", dataset, "--out", targets],
+            ["evaluate", "--dataset", dataset, "--predictions", targets],
+            ["evaluate", "--dataset", dataset, "--predictions", targets, "--json"],
+        ]
+        help_codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in text_commands]
+            for command in ([], ["stats"], ["linearize"], ["evaluate"], ["scl-check"], ["scl-demo"]):
+                try:
+                    main([*command, "--help"])
+                except SystemExit as exc:
+                    help_codes.append(exc.code)
+        numpy_loaded = "numpy" in sys.modules
+        scl = []
+        for argv in (
+            ["scl-demo", "--synthetic", "8", "--steps", "1"],
+            ["scl-check", "--oracle-batches", "1", "--grad-batches", "0", "--failure-out", f"{work}/f.json"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                scl.append([main(argv), err.getvalue()])
+        print(json.dumps([numpy_found, missing, codes, help_codes, numpy_loaded, scl]))
     """
-    assert run_fresh(script, numpy_state) == [False, []]
+    src = str(Path(acosgen.__file__).resolve().parents[1])
+    absent = numpy_state == "absent"
+    got = run_fresh(script, src, str(mini_dataset_file), str(tmp_path), flags=("-I", "-S") if absent else ())
+    scl = [2, "error: No module named 'numpy'\n"] if absent else [0, ""]
+    assert got == [not absent, [], [0] * 5, [0] * 6, False, [scl, scl]]
 
 
 def test_patched_cli_names_are_the_ones_scl_commands_call(tmp_path):

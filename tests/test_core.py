@@ -117,6 +117,7 @@ class TestLoading:
             load_dataset(path)
         assert str(exc.value) == f"{path}:2: not valid UTF-8 (byte 0xe9)"
         assert exc.value.line == 2
+        assert str(DatasetError("m", path="p")) == "p: m"  # a path without a line
 
     def test_unreadable_path_raises_dataset_error(self, tmp_path):
         with pytest.raises(DatasetError, match=f"^cannot read {re.escape(str(tmp_path))}: "):

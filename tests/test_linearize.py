@@ -64,6 +64,8 @@ class TestCategoryMap:
         assert len(rest_map) == 13
         assert len(laptop_map) >= 121
         assert len(default_category_map("laptop_l1")) >= 21
+        with pytest.raises(KeyError, match=r"unknown dataset 'hotel'; expected one of \('rest', "):
+            default_category_map("hotel")
 
     def test_unknown_label_names_nearest(self, rest_map):
         with pytest.raises(CategoryMapError, match="FOOD#QUALITY"):
